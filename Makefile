@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt fmt-check ci check bench bench-smoke bench-load bench-cluster bench-guard bench-baseline profile trace clean
+.PHONY: build test fmt fmt-check ci check orbench-check bench bench-smoke bench-load bench-cluster bench-guard bench-baseline profile trace clean
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,8 @@ ci: fmt-check
 # interleavings (singleflight, LRU, spill, drain), plus the symbol-table
 # and tokenizer suites (concurrent interning, raw-text/entity edges) and
 # the telemetry layer (labeled metrics, flight recorder) under the same
-# repeated-race regime.
+# repeated-race regime. Concurrent Analyze calls on one shared analysis
+# base run ten times under race: each run must own its working state.
 check: ci
 	$(GO) test -race -count=2 -run 'Parallel|Determinis|ExtractBatch|ForEach|Workers|Chunks|Merge|Remap|SmallCorpus' ./...
 	$(GO) test -race -count=2 ./internal/store/
@@ -44,6 +45,14 @@ check: ci
 	$(GO) test -race -count=2 ./internal/symtab/
 	$(GO) test -race -count=2 -run 'RawText|Entit|Tokeniz|Stream' ./internal/dom/ ./internal/eqclass/
 	$(GO) test -race -count=2 -run 'Serve|SaveLoad|WrapContext|Persist|Close|Drain|StreamVsTreeExtract' .
+	$(GO) test -race -count=10 -run 'TestBaseAnalyzeConcurrentMatchesSequential' ./internal/eqclass/
+
+# orbench-check builds, vets and unit-tests the end-to-end benchmark
+# (bench/orbench). It is a module of its own, so `go build ./...` and
+# `go test ./...` at the root never compile it; this target catches an
+# internal API change that would break it.
+orbench-check:
+	cd bench/orbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench runs every benchmark and additionally records the parallel
 # scaling run (BENCH_parallel.json), the serving-cache economics — cold
@@ -73,15 +82,18 @@ bench-smoke:
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-guard is the perf regression gate: it re-records the parallel
-# scaling and serving-cache benchmarks (tmp+rename, like bench) and
-# compares them against the committed baselines under bench/baseline/
-# with cmd/benchguard, failing on any >20% ns/op regression (or a
-# vanished benchmark). A fixed iteration budget repeated GUARD_COUNT
+# scaling, serving-cache and cold-inference allocation benchmarks
+# (tmp+rename, like bench) and compares them against the committed
+# baselines under bench/baseline/ with cmd/benchguard, failing on any
+# >20% ns/op regression (or a vanished benchmark). A fixed iteration budget repeated GUARD_COUNT
 # times keeps wall time in seconds; benchguard takes the minimum across
 # repeats, so a single noisy run cannot fail the gate on its own.
 # allocs/op gates separately (GUARD_ALLOC_TOLERANCE, default strict:
 # any increase over a baseline that recorded allocs fails — allocation
-# counts are deterministic, unlike wall time).
+# counts are deterministic, unlike wall time). Both the guard and the
+# baseline run at -cpu 1: with more than one P the runtime's own
+# goroutine and scheduler allocations vary from run to run, and a
+# strict gate would flake on them.
 # Knobs: GUARD_BENCHTIME, GUARD_COUNT, GUARD_TOLERANCE,
 # GUARD_ALLOC_TOLERANCE.
 GUARD_BENCHTIME ?= 20x
@@ -90,22 +102,27 @@ GUARD_TOLERANCE ?= 0.20
 GUARD_ALLOC_TOLERANCE ?= 0
 
 bench-guard:
-	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_parallel.json.tmp
+	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
+	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
+	mv BENCH_alloc.json.tmp BENCH_alloc.json
 	$(GO) run ./cmd/benchguard -tolerance $(GUARD_TOLERANCE) -alloc-tolerance $(GUARD_ALLOC_TOLERANCE) \
 		bench/baseline/BENCH_parallel.json:BENCH_parallel.json \
-		bench/baseline/BENCH_serve.json:BENCH_serve.json
+		bench/baseline/BENCH_serve.json:BENCH_serve.json \
+		bench/baseline/BENCH_alloc.json:BENCH_alloc.json
 
 # bench-baseline re-records the guard benchmarks and commits them as the
 # new baselines (run after a PR that legitimately moves the numbers, on
 # the machine whose numbers the guard should trust).
 bench-baseline:
-	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
+	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -benchmem -run XXX . > bench/baseline/BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
+	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp
+	mv bench/baseline/BENCH_alloc.json.tmp bench/baseline/BENCH_alloc.json
 
 # profile regenerates the committed wrap-path CPU profile
 # (bench/profile/wrap_workers4.prof) that bench/profile/README.md
@@ -147,4 +164,4 @@ clean:
 	rm -rf /tmp/objectrunner-bench /tmp/objectrunner-trace.jsonl
 	rm -f BENCH_parallel.json.tmp BENCH_serve.json.tmp BENCH_alloc.json.tmp
 	rm -f BENCH_load.json.tmp BENCH_cluster.json.tmp
-	rm -f bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_serve.json.tmp
+	rm -f bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_alloc.json.tmp

@@ -22,10 +22,11 @@ import (
 // filter keeps or drops a group wholesale — which is what makes the
 // first findEQs round shardable by support.
 type baseGroup struct {
-	pages   int  // page coverage shared by the group's roles
-	nroles  int  // group size, re-reported with invalid-EQ events
-	invalid bool // group failed ordered-and-nested and went through salvage
-	eqs     []*EQ
+	pages    int  // page coverage shared by the group's roles
+	nroles   int  // group size, re-reported with invalid-EQ events
+	invalid  bool // group failed ordered-and-nested and went through salvage
+	slotless bool // one class id, no class (see slotlessGroup)
+	eqs      []*EQ
 }
 
 // Base is the immutable per-corpus snapshot of Algorithm 2's shared
@@ -83,9 +84,12 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 	// Criterion i: differentiate roles by HTML features (value + DOM
 	// path). Annotated words are shielded from template candidacy so that
 	// too-regular data ("New York") stays extractable (paper §II.C).
-	a.assignRolesBy(func() func(*Occurrence) roleKey { return baseKey })
+	a.assignRolesBy(func(int) func(*Occurrence) roleKey { return baseKey })
 	b.roleKeys = a.roleKeys
 	b.stats = a.computeRoleStats()
+	// The snapshot keeps the statistics buffers; detach them from this
+	// analysis's scratch so no later pass can reuse them.
+	a.sc = nil
 
 	// Group candidate roles by occurrence vector and validate each group
 	// once. Validation (ordered-and-nested, salvage) is support-
@@ -96,14 +100,12 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 		minSupport = np
 	}
 	b.minSupport = minSupport
-	for _, roles := range groupRoles(b.stats, minSupport) {
-		eqs, invalid := a.salvageEQs(roles, b.stats)
-		b.groups = append(b.groups, baseGroup{
-			pages:   b.stats[roles[0]].pages,
-			nroles:  len(roles),
-			invalid: invalid,
-			eqs:     eqs,
-		})
+	for _, roles := range a.groupRoles(b.stats, minSupport) {
+		g := baseGroup{pages: b.stats[roles[0]].pages, nroles: len(roles), slotless: slotlessGroup(roles)}
+		if !g.slotless {
+			g.eqs, g.invalid = a.salvageEQs(nil, roles, b.stats)
+		}
+		b.groups = append(b.groups, g)
 	}
 	ob.Count("eqclass.base_builds", 1)
 	ob.Event("eqclass.base", obs.A("pages", np),
@@ -174,17 +176,23 @@ func (b *Base) shard(a *Analysis, support int) []*EQ {
 		return a.classesFrom(b.stats, support)
 	}
 	var eqs []*EQ
+	id := 0
 	for i := range b.groups {
 		g := &b.groups[i]
 		if g.pages < support {
+			continue
+		}
+		if g.slotless {
+			id++
 			continue
 		}
 		if g.invalid {
 			a.countInvalidGroup(g.nroles)
 		}
 		for _, e := range g.eqs {
+			id++
 			c := e.cloneForRun()
-			c.ID = len(eqs) + 1
+			c.ID = id
 			eqs = append(eqs, c)
 		}
 	}
@@ -271,5 +279,8 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 	// hierarchy.
 	computeDescOrdinals(a)
 	ob.Count("eqclass.conflicts", int64(a.Conflicts))
+	// Release the per-run working state (and the statistics that view
+	// into it) so a finished analysis does not pin it.
+	a.sc, a.stats = nil, nil
 	return a
 }

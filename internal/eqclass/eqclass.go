@@ -1,8 +1,11 @@
 package eqclass
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,10 +137,6 @@ type Analysis struct {
 	profiles map[int][]SlotProfile
 	// obs receives the per-step events of AnalyzeObserved.
 	obs *obs.Observer
-	// inClass and occsBuf are scratch buffers reused across validateEQ
-	// calls (role-indexed membership bitmap; per-page member collector).
-	inClass []bool
-	occsBuf []*Occurrence
 	// pageOff is the flat occurrence layout (see initLayout), shared
 	// with the Base the analysis resumed from.
 	pageOff []int
@@ -145,11 +144,8 @@ type Analysis struct {
 	// findEQs/shard for the annotation pass of the following
 	// differentiate call; any role renumbering invalidates it.
 	stats []roleStat
-	// labelsBuf and perOccBuf are flat per-occurrence buffers (annotation
-	// label syms; worker-local key ids) reused across differentiate and
-	// assignRolesBy calls.
-	labelsBuf []symtab.Sym
-	perOccBuf []int32
+	// sc is the run's reusable working state (see scratch).
+	sc *scratch
 }
 
 // roleCount returns the number of distinct roles currently assigned.
@@ -159,16 +155,7 @@ func (a *Analysis) roleCount() int { return len(a.roleKeys) }
 func (a *Analysis) Table() *symtab.Table { return a.tab }
 
 // total returns the token count across all pages.
-func (a *Analysis) total() int {
-	if a.pageOff != nil {
-		return a.pageOff[len(a.Pages)]
-	}
-	n := 0
-	for _, page := range a.Pages {
-		n += len(page)
-	}
-	return n
-}
+func (a *Analysis) total() int { return a.layout()[len(a.Pages)] }
 
 // Analyze runs Algorithm 2: differentiate roles by HTML features, then
 // iterate {find EQs; differentiate by EQ positions and non-conflicting
@@ -213,16 +200,15 @@ type roleKey struct {
 	ann           symtab.Sym
 }
 
-// legacyString composes the historical string form of a role key
+// appendLegacy appends the historical string form of a role key
 // ("kind|value|path" + "|g<gen>.eq<id>.s<slot>.o<ord>" + "|t:<label>").
 // Role numbering sorts distinct keys on this form: numbering order is
 // observable — the conflicting-annotation pass freezes roles through
 // class role-id sets recorded before the last renumbering, so a
 // different sort order would shift which roles those stale ids hit.
-// Composing the string once per distinct key (a few hundred per pass)
+// Composing the form once per distinct key (a few hundred per pass)
 // keeps the comparison cheap without hashing strings per occurrence.
-func (a *Analysis) legacyString(k roleKey) string {
-	b := make([]byte, 0, 64)
+func (a *Analysis) appendLegacy(b []byte, k roleKey) []byte {
 	b = strconv.AppendInt(b, int64(k.kind), 10)
 	b = append(b, '|')
 	b = append(b, a.tab.StringOf(k.val)...)
@@ -242,7 +228,7 @@ func (a *Analysis) legacyString(k roleKey) string {
 		b = append(b, "|t:"...)
 		b = append(b, a.tab.StringOf(k.ann)...)
 	}
-	return string(b)
+	return b
 }
 
 // baseKey is the HTML-feature role key.
@@ -287,47 +273,84 @@ func (a *Analysis) classesFrom(stats []roleStat, support int) []*EQ {
 		support = np
 	}
 	var eqs []*EQ
-	for _, roles := range groupRoles(stats, support) {
-		out, invalid := a.salvageEQs(roles, stats)
+	id := 0
+	for _, roles := range a.groupRoles(stats, support) {
+		if slotlessGroup(roles) {
+			id++
+			continue
+		}
+		n := len(eqs)
+		var invalid bool
+		eqs, invalid = a.salvageEQs(eqs, roles, stats)
 		if invalid {
 			a.countInvalidGroup(len(roles))
 		}
-		for _, eq := range out {
-			eq.ID = len(eqs) + 1
-			eqs = append(eqs, eq)
+		for _, eq := range eqs[n:] {
+			id++
+			eq.ID = id
 		}
 	}
 	return eqs
 }
+
+// slotlessGroup reports whether a role group can only yield a class
+// without slots: a single-role group always validates (its one role has
+// the group's vector by construction) into a one-role class, and
+// BuildHierarchy — which every class list reaches before anything else
+// reads it — drops classes without slots. Such a group only takes up
+// its class id, so callers number it without building the class.
+func slotlessGroup(roles []int) bool { return len(roles) == 1 }
 
 // groupRoles returns the template-candidate role groups (same occurrence
 // vector, page coverage >= support) in sorted vector-key order; each
 // group lists its roles in ascending id order. The group key replicates
 // the fmt.Sprint([]int) form "[1 2 3]" — group order is sorted on this
 // string and determines class ids, which are visible in reports, so the
-// historical ordering is load-bearing.
-func groupRoles(stats []roleStat, support int) [][]int {
-	groups := make(map[string][]int)
-	var buf []byte
+// historical ordering is load-bearing. The form is injective, so the
+// candidates sorted on (form, id) fall into runs that are exactly the
+// groups. The groups view the run's scratch, valid until the next call.
+func (a *Analysis) groupRoles(stats []roleStat, support int) [][]int {
+	sc := a.scratch()
+	cands, forms, formOff := sc.cands[:0], sc.forms[:0], sc.formOff[:0]
 	for r := range stats {
 		st := &stats[r]
 		if !st.cand || st.pages < support {
 			continue
 		}
-		buf = appendVector(buf[:0], st.vector)
-		key := string(buf)
-		groups[key] = append(groups[key], r)
+		cands = append(cands, r)
+		formOff = append(formOff, len(forms))
+		forms = appendVector(forms, st.vector)
 	}
-	gkeys := make([]string, 0, len(groups))
-	for k := range groups {
-		gkeys = append(gkeys, k)
+	formOff = append(formOff, len(forms))
+	sc.cands, sc.forms, sc.formOff = cands, forms, formOff
+	form := func(i int) []byte { return forms[formOff[i]:formOff[i+1]] }
+	order := resize(sc.order, len(cands))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(gkeys)
-	out := make([][]int, 0, len(gkeys))
-	for _, gk := range gkeys {
-		out = append(out, groups[gk])
+	slices.SortFunc(order, func(x, y int) int {
+		if c := bytes.Compare(form(x), form(y)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	sc.order = order
+	members := resize(sc.members, len(cands))
+	sc.members = members
+	groups := sc.groups[:0]
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && bytes.Equal(form(order[j]), form(order[i])) {
+			j++
+		}
+		for t := i; t < j; t++ {
+			members[t] = cands[order[t]]
+		}
+		groups = append(groups, members[i:j:j])
+		i = j
 	}
-	return out
+	sc.groups = groups
+	return groups
 }
 
 // countInvalidGroup records one same-vector group failing the ordered-
@@ -366,47 +389,47 @@ func appendVector(buf []byte, v []int) []byte {
 // test — typically because a data word coincidentally shares the vector —
 // progressively smaller subgroups are retried: the tag tokens alone, then
 // the tag tokens partitioned by DOM path. Members excluded from a class
-// simply remain data. The invalid flag reports that salvage was entered;
-// the caller owns the accounting (countInvalidGroup), so the base
-// snapshot can validate once and re-report per sharded run.
-func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid bool) {
-	vector := stats[roles[0]].vector
-	if eq := a.validateEQ(roles, vector); eq != nil {
-		return []*EQ{eq}, false
+// simply remain data. The classes are appended to out. The invalid flag
+// reports that salvage was entered; the caller owns the accounting
+// (countInvalidGroup), so the base snapshot can validate once and
+// re-report per sharded run.
+func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat) (_ []*EQ, invalid bool) {
+	if eq := a.validateEQ(roles, stats); eq != nil {
+		return append(out, eq), false
 	}
 	// The same-vector group failed the ordered-and-nested test and enters
 	// progressive salvage.
 	// Each role's first occurrence (page order) is its representative for
 	// kind and path.
 	rep := func(r int) *Occurrence { return stats[r].occs[0] }
-	var tags []int
+	sc := a.scratch()
+	tags := sc.tags[:0]
 	for _, r := range roles {
 		if rep(r).Kind != KindWord {
 			tags = append(tags, r)
 		}
 	}
+	sc.tags = tags
 	if len(tags) > 0 && len(tags) < len(roles) {
-		if eq := a.validateEQ(tags, vector); eq != nil {
-			return []*EQ{eq}, true
+		if eq := a.validateEQ(tags, stats); eq != nil {
+			return append(out, eq), true
 		}
 	}
 	if len(tags) < 2 {
-		return nil, true
+		return out, true
 	}
-	byPath := make(map[string][]int)
-	for _, r := range tags {
-		byPath[rep(r).Path] = append(byPath[rep(r).Path], r)
-	}
-	paths := make([]string, 0, len(byPath))
-	for p := range byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		// Subgroups inherit the ascending role order of tags.
-		if eq := a.validateEQ(byPath[p], vector); eq != nil {
+	// Partition the tags by DOM path, paths in sorted order; the stable
+	// sort keeps each subgroup in the ascending role order of tags.
+	slices.SortStableFunc(tags, func(x, y int) int { return strings.Compare(rep(x).Path, rep(y).Path) })
+	for i := 0; i < len(tags); {
+		j := i + 1
+		for j < len(tags) && rep(tags[j]).Path == rep(tags[i]).Path {
+			j++
+		}
+		if eq := a.validateEQ(tags[i:j], stats); eq != nil {
 			out = append(out, eq)
 		}
+		i = j
 	}
 	return out, true
 }
@@ -416,72 +439,77 @@ func (a *Analysis) salvageEQs(roles []int, stats []roleStat) (out []*EQ, invalid
 // repeated vector[p] times. It returns the class with its tuples, or nil
 // when invalid (such classes are discarded — Algorithm 2, "handle invalid
 // EQs").
-func (a *Analysis) validateEQ(roles []int, vector []int) *EQ {
+//
+// The roles share one occurrence vector (they are a same-vector group or
+// a subset of one), so on page p every role's occurrences are the same
+// segment of its page-ordered occurrence list; gathered and sorted by
+// position they are exactly the class's occurrences on that page, and
+// no page needs scanning. Every role contributes the same count, so a
+// page that is σ repeated also proves σ's roles distinct. Validation
+// runs in the run's scratch; only a class that validates allocates, and
+// it copies everything it keeps (the vector may live in a reused
+// statistics buffer).
+func (a *Analysis) validateEQ(roles []int, stats []roleStat) *EQ {
 	k := len(roles)
-	if len(a.inClass) < a.roleCount() {
-		a.inClass = make([]bool, a.roleCount())
-	}
-	inClass := a.inClass
-	for _, r := range roles {
-		inClass[r] = true
-	}
-	defer func() {
-		for _, r := range roles {
-			inClass[r] = false
-		}
-	}()
-	var sigma []int
-	var sigmaOccs []*Occurrence
-	tuples := make([][]Tuple, len(a.Pages))
-	for pi, page := range a.Pages {
-		occs := a.occsBuf[:0]
-		for _, o := range page {
-			if inClass[o.role] {
-				occs = append(occs, o)
-			}
-		}
-		a.occsBuf = occs[:0]
-		if len(occs) != k*vector[pi] {
-			return nil // should not happen; defensive
-		}
-		if len(occs) == 0 {
+	vector := stats[roles[0]].vector
+	sc := a.scratch()
+	// sigma holds the first tuple's occurrences (σ in template order);
+	// pos collects every tuple's positions, page after page.
+	sigma := sc.sigma[:0]
+	pos := sc.pos[:0]
+	start := 0
+	for _, n := range vector {
+		if n == 0 {
 			continue
 		}
-		if sigma == nil {
-			// Derive σ from the first tuple: k distinct roles.
-			seen := make(map[int]bool, k)
-			for i := 0; i < k; i++ {
-				r := occs[i].role
-				if seen[r] {
-					return nil
-				}
-				seen[r] = true
-				sigma = append(sigma, r)
-				sigmaOccs = append(sigmaOccs, occs[i])
-			}
+		occs := sc.occs[:0]
+		for _, r := range roles {
+			occs = append(occs, stats[r].occs[start:start+n]...)
 		}
-		// The page must be σ repeated vector[pi] times.
+		start += n
+		sc.occs = occs
+		if k > 1 {
+			slices.SortFunc(occs, func(x, y *Occurrence) int { return cmp.Compare(x.Pos, y.Pos) })
+		}
+		if len(sigma) == 0 {
+			sigma = append(sigma, occs[:k]...)
+			sc.sigma = sigma
+		}
 		for i, o := range occs {
-			if o.role != sigma[i%k] {
+			if o.role != sigma[i%k].role {
 				return nil
 			}
+			pos = append(pos, o.Pos)
 		}
-		for t := 0; t < vector[pi]; t++ {
-			pos := make([]int, k)
-			for i := 0; i < k; i++ {
-				pos[i] = occs[t*k+i].Pos
-			}
-			tuples[pi] = append(tuples[pi], Tuple{Positions: pos})
-		}
+		sc.pos = pos
 	}
-	if sigma == nil {
+	if len(sigma) == 0 {
 		return nil
 	}
+	// One backing array holds the class's roles, its vector and every
+	// tuple's positions.
+	np := len(vector)
+	ints := make([]int, k+np+len(pos))
+	sigmaRoles, vec, flat := ints[:k:k], ints[k:k+np:k+np], ints[k+np:]
+	copy(vec, vector)
+	copy(flat, pos)
+	arena := make([]Tuple, len(flat)/k)
+	for t := range arena {
+		arena[t].Positions = flat[t*k : (t+1)*k : (t+1)*k]
+	}
+	tuples := make([][]Tuple, np)
+	for pi, t := 0, 0; pi < np; pi++ {
+		if n := vector[pi]; n > 0 {
+			tuples[pi] = arena[t : t+n : t+n]
+			t += n
+		}
+	}
 	descs := make([]Desc, k)
-	for i, o := range sigmaOccs {
+	for i, o := range sigma {
+		sigmaRoles[i] = o.role
 		descs[i] = DescOf(o)
 	}
-	return &EQ{Roles: sigma, Descs: descs, Vector: vector, Tuples: tuples}
+	return &EQ{Roles: sigmaRoles, Descs: descs, Vector: vec, Tuples: tuples}
 }
 
 // scope identifies the innermost equivalence-class slot containing a
@@ -502,14 +530,22 @@ type gap struct {
 // computeScopes paints, for every page position, the innermost (EQ,
 // tuple, slot) containing it. Wider gaps are painted first so inner
 // classes overwrite outer ones. Gaps never span pages, so the painting
-// fans out per page; the per-page sort (width desc, position, class,
+// fans out over page chunks; the per-page sort (width desc, position, class,
 // slot) is exactly the historical global order restricted to one page,
 // and it is total — same-width overlapping gaps always paint in the same
-// order regardless of worker count.
+// order regardless of worker count. The rows are views into the run's
+// scratch, valid until the next call.
 func (a *Analysis) computeScopes() [][]scope {
+	off := a.layout()
 	np := len(a.Pages)
-	scopes := make([][]scope, np)
-	byPage := make([][]gap, np)
+	sc := a.scratch()
+	sc.scopeBuf = resize(sc.scopeBuf, off[np])
+	sc.scopeRows = resize(sc.scopeRows, np)
+	sc.gaps = growRows(sc.gaps, np)
+	byPage := sc.gaps[:np]
+	for pi := range byPage {
+		byPage[pi] = byPage[pi][:0]
+	}
 	for _, eq := range a.EQs {
 		if eq.K() < 2 {
 			continue
@@ -526,32 +562,41 @@ func (a *Analysis) computeScopes() [][]scope {
 			}
 		}
 	}
-	parallel.ForEach(a.params.Workers, np, func(pi int) {
-		row := make([]scope, len(a.Pages[pi]))
-		for i := range row {
-			row[i] = scope{eq: -1}
-		}
-		gaps := byPage[pi]
-		sort.Slice(gaps, func(i, j int) bool {
-			if wi, wj := gaps[i].to-gaps[i].from, gaps[j].to-gaps[j].from; wi != wj {
-				return wi > wj
+	scopes := sc.scopeRows
+	parallel.MapWorkersCtx(nil, a.params.Workers, np,
+		func(_ context.Context, _ int, c parallel.Chunk) (struct{}, error) {
+			for pi := c.Lo; pi < c.Hi; pi++ {
+				row := sc.scopeBuf[off[pi]:off[pi+1]]
+				for i := range row {
+					row[i] = scope{eq: -1}
+				}
+				gaps := byPage[pi]
+				slices.SortFunc(gaps, cmpGap)
+				for _, g := range gaps {
+					for p := g.from + 1; p < g.to; p++ {
+						row[p] = g.sc
+					}
+				}
+				scopes[pi] = row
 			}
-			if gaps[i].from != gaps[j].from {
-				return gaps[i].from < gaps[j].from
-			}
-			if gaps[i].sc.eq != gaps[j].sc.eq {
-				return gaps[i].sc.eq < gaps[j].sc.eq
-			}
-			return gaps[i].sc.slot < gaps[j].sc.slot
+			return struct{}{}, nil
 		})
-		for _, g := range gaps {
-			for p := g.from + 1; p < g.to; p++ {
-				row[p] = g.sc
-			}
-		}
-		scopes[pi] = row
-	})
 	return scopes
+}
+
+// cmpGap orders gaps for painting: wider first, then by position, class
+// and slot.
+func cmpGap(x, y gap) int {
+	if wx, wy := x.to-x.from, y.to-y.from; wx != wy {
+		return cmp.Compare(wy, wx)
+	}
+	if c := cmp.Compare(x.from, y.from); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.sc.eq, y.sc.eq); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.sc.slot, y.sc.slot)
 }
 
 // differentiate recomputes roles with the positional (EQ + ordinal) and
@@ -592,7 +637,10 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 			}
 		}
 	}
-	frozen := make([]bool, nRoles)
+	sc := a.scratch()
+	sc.frozen = resize(sc.frozen, nRoles)
+	frozen := sc.frozen
+	clear(frozen)
 	for _, e := range a.EQs {
 		freeze := true
 		if a.params.UseAnnotations && e.Parent != nil {
@@ -622,11 +670,18 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 	// annotation label, tagged with the generation so stale keys from
 	// earlier class ids cannot collide. Each worker gets its own ordinal
 	// counters — they are page-scoped (ordScope carries the page), so
-	// page-aligned chunks count exactly like one sequential pass.
+	// page-aligned chunks count exactly like one sequential pass, and
+	// clearing them at each page boundary changes no count.
 	gen := int32(generation)
-	return a.assignRolesBy(func() func(*Occurrence) roleKey {
-		ordinalSeen := make(map[ordScope]int)
+	sc.ordinals = growMaps(sc.ordinals, a.workers(len(a.Pages)))
+	return a.assignRolesBy(func(worker int) func(*Occurrence) roleKey {
+		ordinalSeen := sc.ordinals[worker]
+		page := -1
 		return func(o *Occurrence) roleKey {
+			if o.Page != page {
+				clear(ordinalSeen)
+				page = o.Page
+			}
 			var ann symtab.Sym
 			if labels != nil {
 				ann = labels[a.pageOff[o.Page]+o.Pos]
@@ -636,19 +691,19 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 				k.ann = ann
 				return k
 			}
-			sc := scopes[o.Page][o.Pos]
+			in := scopes[o.Page][o.Pos]
 			k := baseKey(o)
-			if sc.eq >= 0 {
-				m := minPerSlot[rsKey{o.role, sc.eq, sc.slot}]
-				os := ordScope{o.Page, sc.eq, sc.tuple, sc.slot, o.role}
+			if in.eq >= 0 {
+				m := minPerSlot[rsKey{o.role, in.eq, in.slot}]
+				os := ordScope{o.Page, in.eq, in.tuple, in.slot, o.role}
 				ordinalSeen[os]++
 				ord := ordinalSeen[os]
 				if ord > m {
 					ord = m + 1 // overflow bucket beyond the minimal count
 				}
 				k.gen = gen
-				k.eq = int32(sc.eq)
-				k.slot = int32(sc.slot)
+				k.eq = int32(in.eq)
+				k.slot = int32(in.slot)
 				k.ord = int32(ord)
 			}
 			k.ann = ann
@@ -672,65 +727,68 @@ type ordScope struct {
 // slotMinima computes, for each free (role, class, slot), the minimal
 // occurrence count over the (page, tuple) pairs containing the role.
 // Tuples never span pages, so per-chunk partial minima merge by min —
-// commutative, hence worker-count independent.
+// commutative, hence worker-count independent. The result is the run's
+// scratch map, valid until the next call.
 func (a *Analysis) slotMinima(scopes [][]scope, frozen []bool) map[rsKey]int {
 	np := len(a.Pages)
-	// A key's occurrences of one class repetition are contiguous in page
-	// position order (tuples of a class never interleave), so the
-	// per-(page,tuple) counts reduce by run-length without a nested map.
-	type slotAgg struct {
-		page, tuple int32 // identity of the current run
-		count       int32 // occurrences in the current run
-		min         int32 // min over finalized runs; -1 until one finishes
-	}
-	locals, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) (map[rsKey]int, error) {
-			aggs := make(map[rsKey]slotAgg)
+	sc := a.scratch()
+	sc.aggs = growMaps(sc.aggs, a.workers(np))
+	parallel.MapWorkersCtx(nil, a.params.Workers, np,
+		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+			aggs := sc.aggs[w]
+			clear(aggs)
 			for pi := c.Lo; pi < c.Hi; pi++ {
 				for i, o := range a.Pages[pi] {
-					sc := scopes[pi][i]
-					if sc.eq < 0 || frozen[o.role] {
+					in := scopes[pi][i]
+					if in.eq < 0 || frozen[o.role] {
 						continue
 					}
-					k := rsKey{o.role, sc.eq, sc.slot}
+					k := rsKey{o.role, in.eq, in.slot}
 					ag, ok := aggs[k]
 					if !ok {
-						aggs[k] = slotAgg{page: int32(pi), tuple: int32(sc.tuple), count: 1, min: -1}
+						aggs[k] = slotAgg{page: int32(pi), tuple: int32(in.tuple), count: 1, min: -1}
 						continue
 					}
-					if ag.page == int32(pi) && ag.tuple == int32(sc.tuple) {
+					if ag.page == int32(pi) && ag.tuple == int32(in.tuple) {
 						ag.count++
 					} else {
 						if ag.min < 0 || ag.count < ag.min {
 							ag.min = ag.count
 						}
-						ag.page, ag.tuple, ag.count = int32(pi), int32(sc.tuple), 1
+						ag.page, ag.tuple, ag.count = int32(pi), int32(in.tuple), 1
 					}
 					aggs[k] = ag
 				}
 			}
-			local := make(map[rsKey]int, len(aggs))
-			for k, ag := range aggs {
-				m := ag.count // the open run is a run like any other
-				if ag.min >= 0 && ag.min < m {
-					m = ag.min
-				}
-				local[k] = int(m)
-			}
-			return local, nil
+			return struct{}{}, nil
 		})
-	if len(locals) == 0 {
-		return map[rsKey]int{}
+	if sc.minima == nil {
+		sc.minima = make(map[rsKey]int)
 	}
-	out := locals[0]
-	for _, local := range locals[1:] {
-		for k, m := range local {
+	out := sc.minima
+	clear(out)
+	for _, aggs := range sc.aggs[:a.workers(np)] {
+		for k, ag := range aggs {
+			m := int(ag.count) // the open run is a run like any other
+			if ag.min >= 0 && int(ag.min) < m {
+				m = int(ag.min)
+			}
 			if cur, ok := out[k]; !ok || m < cur {
 				out[k] = m
 			}
 		}
 	}
 	return out
+}
+
+// slotAgg is slotMinima's run-length aggregate for one (role, class,
+// slot) key. A key's occurrences of one class repetition are contiguous
+// in page position order (tuples of a class never interleave), so the
+// per-(page, tuple) counts reduce by run-length without a nested map.
+type slotAgg struct {
+	page, tuple int32 // identity of the current run
+	count       int32 // occurrences in the current run
+	min         int32 // min over finalized runs; -1 until one finishes
 }
 
 // annotationSyms decides, per occurrence, the annotation label used for
@@ -770,11 +828,9 @@ func (a *Analysis) annotationSyms(conflicting bool) []symtab.Sym {
 	if stats == nil {
 		stats = a.computeRoleStats()
 	}
-	total := a.total()
-	if cap(a.labelsBuf) < total {
-		a.labelsBuf = make([]symtab.Sym, total)
-	}
-	labels := a.labelsBuf[:total]
+	sc := a.scratch()
+	sc.labels = resize(sc.labels, a.total())
+	labels := sc.labels
 	clear(labels)
 	n := len(stats)
 	confl, _ := parallel.MapWorkersCtx(nil, a.params.Workers, n,

@@ -1,6 +1,8 @@
 package eqclass
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"objectrunner/internal/symtab"
@@ -12,7 +14,7 @@ import (
 // conflicting-annotation signal used for wrapper self-validation).
 type SlotProfile struct {
 	// Types counts annotation-type observations on data tokens in the
-	// slot.
+	// slot; nil when the slot saw none.
 	Types map[string]int
 	// TextCount counts word tokens seen in the slot.
 	TextCount int
@@ -23,16 +25,11 @@ type SlotProfile struct {
 // Dominant returns the most frequent type and its share of all type
 // observations in the slot ("", 0 when the slot is untyped).
 func (s *SlotProfile) Dominant() (string, float64) {
+	// Ties go to the smallest type name.
 	total, best, bestC := 0, "", 0
-	keys := make([]string, 0, len(s.Types))
-	for t := range s.Types {
-		keys = append(keys, t)
-	}
-	sort.Strings(keys)
-	for _, t := range keys {
-		c := s.Types[t]
+	for t, c := range s.Types {
 		total += c
-		if c > bestC {
+		if c > bestC || c == bestC && t < best {
 			best, bestC = t, c
 		}
 	}
@@ -130,30 +127,29 @@ func locate(tuplesA []Tuple, tb Tuple) (slot, status int) {
 // and computes per-slot data profiles. Classes with fewer than two roles
 // carry no slots and are excluded.
 func BuildHierarchy(a *Analysis) {
-	var eqs []*EQ
+	sc := a.scratch()
+	byCov := sc.byCov[:0]
 	for _, e := range a.EQs {
 		if e.K() >= 2 {
 			e.Parent, e.Children, e.ParentSlot = nil, nil, -1
-			eqs = append(eqs, e)
+			byCov = append(byCov, covEQ{e: e, cov: e.coverage()})
 		}
 	}
 	// Outer classes first; equal coverage falls back to the class id so
 	// the containment scan (and therefore parent assignment) never
 	// depends on the incoming order. Coverage is precomputed — the
 	// comparator runs O(n log n) times.
-	cov := make(map[int]int, len(eqs))
-	for _, e := range eqs {
-		cov[e.ID] = e.coverage()
-	}
-	sort.SliceStable(eqs, func(i, j int) bool {
-		if cov[eqs[i].ID] != cov[eqs[j].ID] {
-			return cov[eqs[i].ID] > cov[eqs[j].ID]
+	slices.SortStableFunc(byCov, func(x, y covEQ) int {
+		if c := cmp.Compare(y.cov, x.cov); c != 0 {
+			return c
 		}
-		return eqs[i].ID < eqs[j].ID
+		return cmp.Compare(x.e.ID, y.e.ID)
 	})
+	sc.byCov = byCov
 
-	var kept []*EQ
-	for _, b := range eqs {
+	kept := make([]*EQ, 0, len(byCov))
+	for _, c := range byCov {
+		b := c.e
 		conflict := false
 		var parent *EQ
 		parentSlot := -1
@@ -187,6 +183,12 @@ func BuildHierarchy(a *Analysis) {
 		sortChildren(e)
 	}
 	computeSlotProfiles(a)
+}
+
+// covEQ pairs a class with its coverage for BuildHierarchy's ordering.
+type covEQ struct {
+	e   *EQ
+	cov int
 }
 
 // computeDescOrdinals learns, for each separator of each class, its
@@ -299,38 +301,33 @@ func sortChildren(e *EQ) {
 // record list); a child with constant multiplicity c >= 2 is structural
 // repetition whose token roles must be differentiated by ordinal instead.
 func Multiplicity(parent, child *EQ) (constant bool, c int) {
-	counts := make(map[[2]int]int)
-	for pi := range child.Tuples {
-		for _, tb := range child.Tuples[pi] {
-			for ti, ta := range parent.Tuples[pi] {
+	// A class's tuples on one page follow each other without overlap, so
+	// a child tuple lies inside at most one parent tuple.
+	constant = true
+	seen := false
+	for pi, tups := range parent.Tuples {
+		var kids []Tuple
+		if pi < len(child.Tuples) {
+			kids = child.Tuples[pi]
+		}
+		for _, ta := range tups {
+			n := 0
+			for _, tb := range kids {
 				if tb.First() > ta.First() && tb.Last() < ta.Last() {
-					counts[[2]int{pi, ti}]++
-					break
+					n++
 				}
 			}
-		}
-	}
-	constant = true
-	first := true
-	for _, n := range counts {
-		if first {
-			c, first = n, false
-			continue
-		}
-		if n != c {
-			constant = false
-			if n > c {
-				c = n
+			switch {
+			case n == 0:
+				// Parent tuples with zero children break constancy.
+				constant = false
+			case !seen:
+				c, seen = n, true
+			case n != c:
+				constant = false
+				c = max(c, n)
 			}
 		}
-	}
-	// Parent tuples with zero children also break constancy.
-	total := 0
-	for pi := range parent.Tuples {
-		total += len(parent.Tuples[pi])
-	}
-	if total != len(counts) {
-		constant = false
 	}
 	return constant, c
 }
@@ -354,12 +351,15 @@ func (a *Analysis) SlotProfilesOf(e *EQ) []SlotProfile {
 // computeSlotProfiles paints innermost scopes with the hierarchy's
 // classes and aggregates the data tokens of each slot.
 func computeSlotProfiles(a *Analysis) {
-	a.profiles = make(map[int][]SlotProfile)
+	a.profiles = make(map[int][]SlotProfile, len(a.EQs))
+	nslots := 0
 	for _, e := range a.EQs {
-		ps := make([]SlotProfile, e.Slots())
-		for i := range ps {
-			ps[i].Types = make(map[string]int)
-		}
+		nslots += e.Slots()
+	}
+	arena := make([]SlotProfile, nslots)
+	for _, e := range a.EQs {
+		ps := arena[:e.Slots():e.Slots()]
+		arena = arena[e.Slots():]
 		a.profiles[e.ID] = ps
 		for _, c := range e.Children {
 			if c.ParentSlot >= 0 && c.ParentSlot < len(ps) {
@@ -367,8 +367,18 @@ func computeSlotProfiles(a *Analysis) {
 			}
 		}
 	}
-	// Separator roles of the hierarchy.
-	sepRoles := make(map[int]bool)
+	// Separator roles of the hierarchy. Class role ids may predate the
+	// last renumbering, so the bitmap covers both numberings.
+	n := a.roleCount()
+	for _, e := range a.EQs {
+		for _, r := range e.Roles {
+			n = max(n, r+1)
+		}
+	}
+	sc := a.scratch()
+	sc.sepRoles = resize(sc.sepRoles, n)
+	sepRoles := sc.sepRoles
+	clear(sepRoles)
 	for _, e := range a.EQs {
 		for _, r := range e.Roles {
 			sepRoles[r] = true
@@ -377,22 +387,25 @@ func computeSlotProfiles(a *Analysis) {
 	scopes := a.computeScopes()
 	for pi, page := range a.Pages {
 		for i, o := range page {
-			if sepRoles[o.role] {
+			if o.role < n && sepRoles[o.role] {
 				continue
 			}
-			sc := scopes[pi][i]
-			if sc.eq < 0 {
+			in := scopes[pi][i]
+			if in.eq < 0 {
 				continue
 			}
-			profs, ok := a.profiles[sc.eq]
-			if !ok || sc.slot >= len(profs) {
+			profs, ok := a.profiles[in.eq]
+			if !ok || in.slot >= len(profs) {
 				continue
 			}
-			p := &profs[sc.slot]
+			p := &profs[in.slot]
 			if o.Kind == KindWord {
 				p.TextCount++
 			}
 			for _, t := range o.Types {
+				if p.Types == nil {
+					p.Types = make(map[string]int)
+				}
 				p.Types[t]++
 			}
 		}

@@ -1,8 +1,10 @@
 package eqclass
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"objectrunner/internal/parallel"
 )
@@ -31,7 +33,7 @@ func (a *Analysis) initLayout() {
 }
 
 // assignRolesBy recomputes role ids from per-occurrence keys. mk returns
-// a fresh key function per worker: key functions may be stateful
+// the key function of one worker: key functions may be stateful
 // (ordinal counters), and their state is scoped to single pages
 // (ordScope includes the page), so page-aligned chunks see exactly the
 // counts a sequential pass would.
@@ -48,22 +50,25 @@ func (a *Analysis) initLayout() {
 // Like its sequential predecessor, it reports whether the induced
 // partition of occurrences changed — ids may be relabelled freely (keys
 // carry generation tags), so change is detected as a broken old↔new
-// bijection, which is order-independent.
-func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
+// bijection, which is order-independent. Every working buffer but the
+// new role-key list comes from the run's scratch.
+func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) bool {
 	np := len(a.Pages)
-	total := a.total()
-	if cap(a.perOccBuf) < total {
-		a.perOccBuf = make([]int32, total)
-	}
-	perOcc := a.perOccBuf[:total]
-	chunks := parallel.Chunks(a.params.Workers, np)
-	locals, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) ([]roleKey, error) {
-			key := mk()
-			seen := make(map[roleKey]int32, len(a.roleKeys)+16)
-			keys := make([]roleKey, 0, len(a.roleKeys)+16)
+	off := a.layout()
+	sc := a.scratch()
+	sc.perOcc = resize(sc.perOcc, off[np])
+	perOcc := sc.perOcc
+	nw := a.workers(np)
+	sc.seen = growMaps(sc.seen, nw)
+	sc.localKeys = growRows(sc.localKeys, nw)
+	parallel.MapWorkersCtx(nil, a.params.Workers, np,
+		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+			key := mk(w)
+			seen := sc.seen[w]
+			clear(seen)
+			keys := sc.localKeys[w][:0]
 			for pi := c.Lo; pi < c.Hi; pi++ {
-				gi := a.pageOff[pi]
+				gi := off[pi]
 				for _, o := range a.Pages[pi] {
 					k := key(o)
 					id, ok := seen[k]
@@ -76,20 +81,22 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 					gi++
 				}
 			}
-			return keys, nil
+			sc.localKeys[w] = keys
+			return struct{}{}, nil
 		})
 
 	// Merge the worker-local key lists into a global first-seen list,
 	// remembering each local id's global id.
-	nguess := 0
-	for _, lk := range locals {
-		nguess += len(lk)
+	if sc.idOf == nil {
+		sc.idOf = make(map[roleKey]int32)
 	}
-	idOf := make(map[roleKey]int32, nguess)
-	keys := make([]roleKey, 0, nguess)
-	remap := make([][]int32, len(locals))
-	for w, lk := range locals {
-		rm := make([]int32, len(lk))
+	idOf := sc.idOf
+	clear(idOf)
+	keys := sc.keys[:0]
+	sc.remap = growRows(sc.remap, nw)
+	remap := sc.remap[:nw]
+	for w, lk := range sc.localKeys[:nw] {
+		rm := resize(remap[w], len(lk))
 		for li, k := range lk {
 			gid, ok := idOf[k]
 			if !ok {
@@ -101,25 +108,33 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 		}
 		remap[w] = rm
 	}
+	sc.keys = keys
 
 	// Final numbering: sort the distinct keys on their legacy string form
-	// (see legacyString — the order is observable through frozen stale
-	// role ids) and compose each worker remap with the sort ranks.
-	legacy := make([]string, len(keys))
+	// (see appendLegacy — the order is observable through frozen stale
+	// role ids) and compose each worker remap with the sort ranks. The
+	// legacy forms sit back to back in one byte arena.
+	legacy := sc.legacy[:0]
+	lo := resize(sc.legacyOff, len(keys)+1)
 	for i, k := range keys {
-		legacy[i] = a.legacyString(k)
+		lo[i] = len(legacy)
+		legacy = a.appendLegacy(legacy, k)
 	}
-	perm := make([]int, len(keys))
+	lo[len(keys)] = len(legacy)
+	sc.legacy, sc.legacyOff = legacy, lo
+	perm := resize(sc.perm, len(keys))
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		if legacy[perm[i]] != legacy[perm[j]] {
-			return legacy[perm[i]] < legacy[perm[j]]
+	slices.SortFunc(perm, func(x, y int32) int {
+		if c := bytes.Compare(legacy[lo[x]:lo[x+1]], legacy[lo[y]:lo[y+1]]); c != 0 {
+			return c
 		}
-		return keyLess(keys[perm[i]], keys[perm[j]])
+		return keyCompare(keys[x], keys[y])
 	})
-	rank := make([]int32, len(keys))
+	sc.perm = perm
+	rank := resize(sc.rank, len(keys))
+	sc.rank = rank
 	sorted := make([]roleKey, len(keys))
 	for newID, old := range perm {
 		rank[old] = int32(newID)
@@ -148,8 +163,9 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 			}
 		}
 	}
-	oldToNew := make([]int, oldRoles)
-	newToOld := make([]int, len(sorted))
+	sc.oldToNew = resize(sc.oldToNew, oldRoles)
+	sc.newToOld = resize(sc.newToOld, len(sorted))
+	oldToNew, newToOld := sc.oldToNew, sc.newToOld
 	for i := range oldToNew {
 		oldToNew[i] = -1
 	}
@@ -157,13 +173,14 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 		newToOld[i] = -1
 	}
 	changed := false
+	chunks := parallel.Chunks(a.params.Workers, np)
 	w := 0
 	for pi, page := range a.Pages {
 		for w < len(chunks)-1 && pi >= chunks[w].Hi {
 			w++
 		}
 		rm := remap[w]
-		gi := a.pageOff[pi]
+		gi := off[pi]
 		for _, o := range page {
 			r := int(rm[perOcc[gi]])
 			gi++
@@ -191,33 +208,33 @@ func (a *Analysis) assignRolesBy(mk func() func(*Occurrence) roleKey) bool {
 	return changed
 }
 
-// keyLess is the deterministic field-wise tie-break for role keys whose
-// legacy strings collide (possible only when a path or label itself
-// contains the separator sequences). It keeps the sort total so the
-// numbering cannot depend on chunk boundaries.
-func keyLess(x, y roleKey) bool {
-	if x.kind != y.kind {
-		return x.kind < y.kind
+// keyCompare is the deterministic field-wise tie-break for role keys
+// whose legacy strings collide (possible only when a path or label
+// itself contains the separator sequences). It keeps the sort total so
+// the numbering cannot depend on chunk boundaries.
+func keyCompare(x, y roleKey) int {
+	if c := cmp.Compare(x.kind, y.kind); c != 0 {
+		return c
 	}
-	if x.val != y.val {
-		return x.val < y.val
+	if c := cmp.Compare(x.val, y.val); c != 0 {
+		return c
 	}
-	if x.pth != y.pth {
-		return x.pth < y.pth
+	if c := cmp.Compare(x.pth, y.pth); c != 0 {
+		return c
 	}
-	if x.gen != y.gen {
-		return x.gen < y.gen
+	if c := cmp.Compare(x.gen, y.gen); c != 0 {
+		return c
 	}
-	if x.eq != y.eq {
-		return x.eq < y.eq
+	if c := cmp.Compare(x.eq, y.eq); c != 0 {
+		return c
 	}
-	if x.slot != y.slot {
-		return x.slot < y.slot
+	if c := cmp.Compare(x.slot, y.slot); c != 0 {
+		return c
 	}
-	if x.ord != y.ord {
-		return x.ord < y.ord
+	if c := cmp.Compare(x.ord, y.ord); c != 0 {
+		return c
 	}
-	return x.ann < y.ann
+	return cmp.Compare(x.ann, y.ann)
 }
 
 // computeRoleStats aggregates per-role occurrence vectors, page
@@ -226,35 +243,40 @@ func keyLess(x, y roleKey) bool {
 // two passes fan out across page chunks: vector columns are per-page,
 // so workers write disjoint slots of the shared backing array, and the
 // occurrence arena is filled through per-(worker, role) cursors derived
-// from the vector prefix sums — every cell has exactly one writer.
+// from the vector prefix sums — every cell has exactly one writer. The
+// result lives in the run's scratch and is valid until the next call.
 func (a *Analysis) computeRoleStats() []roleStat {
 	np := len(a.Pages)
 	n := a.roleCount()
-	stats := make([]roleStat, n)
-	vecs := make([]int, n*np)
+	sc := a.scratch()
+	sc.stats = resize(sc.stats, n)
+	sc.vecs = resize(sc.vecs, n*np)
+	stats, vecs := sc.stats, sc.vecs
+	clear(vecs)
 	for r := range stats {
-		stats[r].vector = vecs[r*np : (r+1)*np : (r+1)*np]
-		stats[r].cand = true
+		stats[r] = roleStat{vector: vecs[r*np : (r+1)*np : (r+1)*np], cand: true}
 	}
+	nw := a.workers(np)
+	sc.notCand = growRows(sc.notCand, nw)
+	sc.cursors = growRows(sc.cursors, nw)
 	// Pass 1: occurrence vectors, plus per-worker non-candidate marks
 	// (merged by OR — commutative, so merge order is irrelevant).
-	marks, _ := parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, _ int, c parallel.Chunk) ([]bool, error) {
-			var notCand []bool
+	parallel.MapWorkersCtx(nil, a.params.Workers, np,
+		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+			notCand := resize(sc.notCand[w], n)
+			clear(notCand)
+			sc.notCand[w] = notCand
 			for pi := c.Lo; pi < c.Hi; pi++ {
 				for _, o := range a.Pages[pi] {
 					vecs[o.role*np+pi]++
 					if !a.templateCandidate(o) {
-						if notCand == nil {
-							notCand = make([]bool, n)
-						}
 						notCand[o.role] = true
 					}
 				}
 			}
-			return notCand, nil
+			return struct{}{}, nil
 		})
-	for _, notCand := range marks {
+	for _, notCand := range sc.notCand[:nw] {
 		for r, bad := range notCand {
 			if bad {
 				stats[r].cand = false
@@ -262,33 +284,33 @@ func (a *Analysis) computeRoleStats() []roleStat {
 		}
 	}
 	// Page coverage and arena offsets from the completed vectors.
-	counts := make([]int, n)
+	sc.counts = resize(sc.counts, n)
+	sc.offs = resize(sc.offs, n+1)
+	counts, offs := sc.counts, sc.offs
 	total := 0
 	for r := range stats {
+		counts[r] = 0
 		for _, c := range stats[r].vector {
 			if c > 0 {
 				stats[r].pages++
 			}
 			counts[r] += c
 		}
+		offs[r] = total
 		total += counts[r]
 	}
-	occArena := make([]*Occurrence, total)
-	offs := make([]int, n+1)
-	off := 0
-	for r := range stats {
-		offs[r] = off
-		off += counts[r]
-	}
-	offs[n] = off
+	offs[n] = total
+	sc.occArena = resize(sc.occArena, total)
+	occArena := sc.occArena
 	// Pass 2: fill the per-role occurrence lists. A worker's cursor for
 	// role r starts at offs[r] plus the occurrences of r on all pages
 	// before its chunk — page-major iteration within the chunk then
 	// reproduces exactly the sequential page order.
 	if total > 0 {
 		parallel.MapWorkersCtx(nil, a.params.Workers, np,
-			func(_ context.Context, _ int, c parallel.Chunk) (struct{}, error) {
-				cur := make([]int, n)
+			func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+				cur := resize(sc.cursors[w], n)
+				sc.cursors[w] = cur
 				for r := 0; r < n; r++ {
 					base := offs[r]
 					for pi := 0; pi < c.Lo; pi++ {

@@ -3,6 +3,7 @@ package eqclass
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"objectrunner/internal/obs"
@@ -87,6 +88,40 @@ func TestSpentBaseStillAnalyzes(t *testing.T) {
 	}
 }
 
+// A Base serves concurrent Analyze calls: each run owns its scratch, so
+// runs at supports 3–5 racing on one base must each reproduce a
+// sequential run exactly. make check runs this under -race, repeatedly.
+func TestBaseAnalyzeConcurrentMatchesSequential(t *testing.T) {
+	pages := tokenizeAll(t, fig3Pages(), concertRecs())
+	p := DefaultParams()
+	p.Workers = 2
+	want := make(map[int]string)
+	seq := NewBase(copyPages(pages, 1), p, nil, nil)
+	for support := 3; support <= 5; support++ {
+		pp := p
+		pp.Support = support
+		want[support] = analysisFingerprint(seq.Analyze(pp, nil, nil))
+	}
+	base := NewBase(copyPages(pages, 1), p, nil, nil)
+	got := make([]string, 9)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pp := p
+			pp.Support = 3 + i%3
+			got[i] = analysisFingerprint(base.Analyze(pp, nil, nil))
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if support := 3 + i%3; g != want[support] {
+			t.Errorf("run %d (support=%d) diverges from the sequential run:\n got:\n%s\nwant:\n%s", i, support, g, want[support])
+		}
+	}
+}
+
 func TestBaseReuseCounter(t *testing.T) {
 	pages := tokenizeAll(t, fig3Pages(), concertRecs())
 	p := DefaultParams()
@@ -114,7 +149,7 @@ func baseAnalysis(t *testing.T, pages [][]*Occurrence) (*Analysis, []roleStat) {
 	a := &Analysis{Pages: pages, params: DefaultParams().normalized(), tab: symtab.New()}
 	InternPages(a.tab, pages)
 	a.initLayout()
-	a.assignRolesBy(func() func(*Occurrence) roleKey { return baseKey })
+	a.assignRolesBy(func(int) func(*Occurrence) roleKey { return baseKey })
 	return a, a.computeRoleStats()
 }
 
@@ -138,11 +173,11 @@ func TestSalvageTagsOnlyClass(t *testing.T) {
 		"<html><body><div>alpha beta</div></body></html>",
 	}
 	a, stats := baseAnalysis(t, tokenizeAll(t, srcs, nil))
-	group := largestGroup(groupRoles(stats, 3))
+	group := largestGroup(a.groupRoles(stats, 3))
 	if len(group) < 8 {
 		t.Fatalf("expected one group holding tags and swapped words, got %d roles", len(group))
 	}
-	eqs, invalid := a.salvageEQs(group, stats)
+	eqs, invalid := a.salvageEQs(nil, group, stats)
 	if !invalid {
 		t.Error("swapped word order should invalidate the full group")
 	}
@@ -166,8 +201,8 @@ func TestSalvagePathPartition(t *testing.T) {
 		"<html><body><div><i>x</i></div><p>y</p></body></html>",
 	}
 	a, stats := baseAnalysis(t, tokenizeAll(t, srcs, nil))
-	group := largestGroup(groupRoles(stats, 3))
-	eqs, invalid := a.salvageEQs(group, stats)
+	group := largestGroup(a.groupRoles(stats, 3))
+	eqs, invalid := a.salvageEQs(nil, group, stats)
 	if !invalid {
 		t.Error("reordered blocks should invalidate the full group")
 	}
@@ -203,11 +238,11 @@ func TestSalvageUnrecoverableGroup(t *testing.T) {
 		wordPage(2, "a", "b"),
 	}
 	a, stats := baseAnalysis(t, pages)
-	groups := groupRoles(stats, 3)
+	groups := a.groupRoles(stats, 3)
 	if len(groups) != 1 || len(groups[0]) != 2 {
 		t.Fatalf("expected one two-role group, got %v", groups)
 	}
-	eqs, invalid := a.salvageEQs(groups[0], stats)
+	eqs, invalid := a.salvageEQs(nil, groups[0], stats)
 	if !invalid || len(eqs) != 0 {
 		t.Errorf("word-only invalid group: eqs=%v invalid=%v, want none/true", eqs, invalid)
 	}

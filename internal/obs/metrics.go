@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math/bits"
 	"sort"
 	"strings"
@@ -408,7 +407,7 @@ func (h HistSnapshot) View() HistView {
 
 // Snapshot is a point-in-time export of every counter, gauge and
 // histogram, shaped for JSON serialization (the daemon's /metrics
-// endpoint and expvar share it) and renderable as Prometheus text via
+// endpoint) and renderable as Prometheus text via
 // WritePrometheus. Gauges are snapshot-local: the observer tracks only
 // counters and histograms; callers add process facts (uptime, build
 // info, cache sizes) with SetGauge before exporting.
@@ -435,14 +434,4 @@ func (o *Observer) Snapshot() Snapshot {
 		snap.Histograms[k] = h.View()
 	}
 	return snap
-}
-
-// PublishExpvar exposes the observer's counters and histogram means under
-// the given expvar name (e.g. for /debug/vars). The name must be unique
-// per process — expvar panics on duplicates — so call it once.
-func (o *Observer) PublishExpvar(name string) {
-	if !o.Enabled() {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return o.Snapshot() }))
 }

@@ -23,28 +23,30 @@ func Chunks(workers, n int) []Chunk {
 	if n <= 0 {
 		return nil
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	out := make([]Chunk, workers)
-	size, rem := n/workers, n%workers
-	lo := 0
 	for w := range out {
-		hi := lo + size
-		if w < rem {
-			hi++
-		}
-		out[w] = Chunk{Lo: lo, Hi: hi}
-		lo = hi
+		out[w] = chunkAt(workers, n, w)
 	}
 	return out
 }
 
+// chunkAt returns chunk w of the partition of [0, n) into workers
+// chunks (1 <= workers <= n), without materializing the others.
+func chunkAt(workers, n, w int) Chunk {
+	size, rem := n/workers, n%workers
+	lo := w*size + min(w, rem)
+	hi := lo + size
+	if w < rem {
+		hi++
+	}
+	return Chunk{Lo: lo, Hi: hi}
+}
+
 // MapWorkersCtx is the fused per-worker primitive: it partitions [0, n)
 // into the deterministic contiguous Chunks(workers, n), runs fn once per
-// chunk — concurrently, one goroutine per chunk — and returns the
-// per-chunk results in chunk order. Unlike ForEach, which balances
+// chunk — all chunks concurrently — and returns the per-chunk results in
+// chunk order. Unlike ForEach, which balances
 // per-index over a channel, a chunk is owned start-to-finish by a single
 // worker, so fn can accumulate worker-local state (a local symbol table,
 // a local buffer) across its whole range with zero cross-worker
@@ -55,47 +57,45 @@ func Chunks(workers, n int) []Chunk {
 // between items; MapWorkersCtx itself only refuses to start work on an
 // already-canceled context. The first non-nil error in chunk order is
 // returned with a nil result slice. A panic in any chunk is re-raised on
-// the calling goroutine after all chunks finish. workers <= 1 (or a
-// single chunk) runs on the calling goroutine with no goroutines at all.
+// the calling goroutine after all chunks finish. The calling goroutine
+// runs the first chunk; workers <= 1 (or a single chunk) therefore
+// starts no goroutines at all.
 func MapWorkersCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, worker int, c Chunk) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	chunks := Chunks(workers, n)
-	if len(chunks) == 0 {
+	if n <= 0 {
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results := make([]T, len(chunks))
-	errs := make([]error, len(chunks))
-	if len(chunks) == 1 {
+	nw := min(Workers(workers), n)
+	results := make([]T, nw)
+	if nw == 1 {
 		var err error
-		results[0], err = fn(ctx, 0, chunks[0])
+		results[0], err = fn(ctx, 0, Chunk{Lo: 0, Hi: n})
 		if err != nil {
 			return nil, err
 		}
 		return results, nil
 	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for w, c := range chunks {
-		wg.Add(1)
-		go func(worker int, c Chunk) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			results[worker], errs[worker] = fn(ctx, worker, c)
-		}(w, c)
+	// The calling goroutine runs chunk 0 itself instead of idling in
+	// Wait; every other chunk gets a goroutine. The shared state sits in
+	// one allocation.
+	errs := make([]error, nw)
+	f := &fanout[T]{ctx: ctx, fn: fn, workers: nw, n: n, results: results, errs: errs}
+	f.wg.Add(nw - 1)
+	for w := 1; w < nw; w++ {
+		go func(worker int) {
+			defer f.wg.Done()
+			f.run(worker)
+		}(w)
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	f.run(0)
+	f.wg.Wait()
+	if f.panicked != nil {
+		panic(f.panicked)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -103,4 +103,28 @@ func MapWorkersCtx[T any](ctx context.Context, workers, n int, fn func(ctx conte
 		}
 	}
 	return results, nil
+}
+
+// fanout is the state one MapWorkersCtx call shares with its workers.
+type fanout[T any] struct {
+	ctx       context.Context
+	fn        func(ctx context.Context, worker int, c Chunk) (T, error)
+	workers   int
+	n         int
+	results   []T
+	errs      []error
+	wg        sync.WaitGroup
+	panicOnce sync.Once
+	panicked  any
+}
+
+// run executes one chunk, recording its result and error, or its panic
+// for re-raising on the calling goroutine once every chunk finished.
+func (f *fanout[T]) run(worker int) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.panicOnce.Do(func() { f.panicked = r })
+		}
+	}()
+	f.results[worker], f.errs[worker] = f.fn(f.ctx, worker, chunkAt(f.workers, f.n, worker))
 }
