@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt fmt-check ci check orbench-check bench bench-smoke bench-load bench-cluster bench-guard bench-baseline profile trace clean
+.PHONY: build test fmt fmt-check ci check fuzz orbench-check bench bench-smoke bench-load bench-cluster bench-guard bench-baseline profile trace clean
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,18 @@ check: ci
 	$(GO) test -race -count=2 -run 'RawText|Entit|Tokeniz|Stream' ./internal/dom/ ./internal/eqclass/
 	$(GO) test -race -count=2 -run 'Serve|SaveLoad|WrapContext|Persist|Close|Drain|StreamVsTreeExtract' .
 	$(GO) test -race -count=10 -run 'TestBaseAnalyzeConcurrentMatchesSequential' ./internal/eqclass/
+
+# fuzz runs each fuzz target for a fixed 20 s: the stream-vs-tree
+# differential (the stream pass bails or matches the tree path on any
+# input) and the wrapper decoder (an error, or a wrapper that encodes
+# again). go test fuzzes one target per run. Minimizing each new
+# input is capped at 1 s: FuzzDecode's inputs are whole wrapper payloads,
+# and at the default cap minimization took most of the 20 s. A failing
+# input is written under testdata/fuzz/<Target>/, where every plain
+# go test replays it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsTree$$' -fuzztime 20s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s -fuzzminimizetime 1s .
 
 # orbench-check builds, vets and unit-tests the end-to-end benchmark
 # (bench/orbench). It is a module of its own, so `go build ./...` and
@@ -126,7 +138,7 @@ bench-baseline:
 
 # profile regenerates the committed wrap-path CPU profile
 # (bench/profile/wrap_workers4.prof) that bench/profile/README.md
-# narrates: the full Wrap + ExtractBatch path at workers=4 over 50
+# narrates: the full Wrap + ExtractStreamBatchContext path at workers=4 over 50
 # iterations. Re-run it after changes that move the inference profile,
 # then refresh the README's numbers.
 profile:

@@ -11,11 +11,11 @@ import (
 	"objectrunner/internal/wrapper"
 )
 
-// Error-honest, context-aware API surface. The original methods (Extract,
-// ExtractBatch, Run, …) stay as thin shims, but they conflate "no data on
-// this page" with "you called me on a dead wrapper" and cannot stop
-// mid-flight; the variants below return sentinel errors (errors.go) and
-// honor context cancellation down through the worker pools.
+// Error-honest, context-aware API surface: the methods below tell "no
+// data on this page" apart from "you called me on a dead wrapper" with
+// sentinel errors (errors.go), and honor context cancellation down
+// through the worker pools. Extraction has two forms: ExtractErr over a
+// parsed page, and ExtractStreamBatchContext over raw HTML.
 
 // canceledErr wraps a context error so that both errors.Is(err,
 // ErrCanceled) and errors.Is(err, context.Canceled/DeadlineExceeded) hold.
@@ -71,7 +71,7 @@ func (e *Extractor) RunContext(ctx context.Context, pages []string) ([]*Object, 
 	if err != nil {
 		return nil, err
 	}
-	per, err := w.ExtractBatchContext(ctx, pages)
+	per, err := w.ExtractStreamBatchContext(ctx, pages)
 	if err != nil {
 		return nil, err
 	}
@@ -94,9 +94,10 @@ func (w *Wrapper) errIfUnusable() error {
 	return nil
 }
 
-// ExtractErr is Extract distinguishing "no objects on this page" (empty
-// slice, nil error) from "this wrapper cannot extract" (ErrNoWrapper for a
-// wrapper that was never inferred, ErrAborted for a discarded source).
+// ExtractErr extracts the objects of one parsed page (ParsePage),
+// distinguishing "no objects on this page" (empty slice, nil error) from
+// "this wrapper cannot extract" (ErrNoWrapper for a wrapper that was
+// never inferred, ErrAborted for a discarded source).
 func (w *Wrapper) ExtractErr(page *dom.Node) ([]*Object, error) {
 	if err := w.errIfUnusable(); err != nil {
 		return nil, err
@@ -104,48 +105,15 @@ func (w *Wrapper) ExtractErr(page *dom.Node) ([]*Object, error) {
 	return w.inner.ExtractPage(page), nil
 }
 
-// ExtractHTMLErr is ExtractHTML with the error contract of ExtractErr.
-func (w *Wrapper) ExtractHTMLErr(html string) ([]*Object, error) {
-	if err := w.errIfUnusable(); err != nil {
-		return nil, err
-	}
-	return w.inner.ExtractPage(clean.Page(html)), nil
-}
-
-// ExtractBatchErr is ExtractBatch with the error contract of ExtractErr.
-func (w *Wrapper) ExtractBatchErr(pages []string) ([][]*Object, error) {
-	return w.ExtractBatchContext(context.Background(), pages)
-}
-
-// ExtractBatchContext is ExtractBatchErr honoring cancellation: the
-// per-page cleaning and extraction fan-outs stop dispatching once ctx is
-// canceled and the returned error wraps ErrCanceled.
-func (w *Wrapper) ExtractBatchContext(ctx context.Context, pages []string) ([][]*Object, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := w.errIfUnusable(); err != nil {
-		return nil, err
-	}
-	parsed := make([]*dom.Node, len(pages))
-	if err := parallel.ForEachCtx(ctx, w.inner.Workers(), len(pages), func(i int) {
-		parsed[i] = clean.Page(pages[i])
-	}); err != nil {
-		return nil, canceledErr(err)
-	}
-	out, err := w.inner.ExtractBatchContext(ctx, parsed)
-	if err != nil {
-		return nil, canceledErr(err)
-	}
-	return out, nil
-}
-
-// ExtractStreamBatchContext is ExtractBatchContext on the streaming
-// path: extraction runs directly over each page's raw token stream —
-// no DOM tree, no cleaning pass — with pooled per-worker scratch.
-// Pages whose structure the streaming tokenizer cannot faithfully
-// reproduce fall back to the tree path per page, so the output is
-// byte-identical to ExtractBatchContext on every input.
+// ExtractStreamBatchContext extracts every raw HTML page, returning one
+// object slice per input page in input order, with the error contract of
+// ExtractErr. Extraction runs directly over each page's raw token stream
+// — no DOM tree, no cleaning pass — with pooled per-worker scratch, and
+// fans out across the extractor's workers. Pages whose structure the
+// streaming tokenizer cannot faithfully reproduce fall back to the tree
+// path per page, so the output is byte-identical to ExtractErr over
+// ParsePage of each page. Once ctx is canceled no further page starts
+// and the returned error wraps ErrCanceled.
 func (w *Wrapper) ExtractStreamBatchContext(ctx context.Context, pages []string) ([][]*Object, error) {
 	if ctx == nil {
 		ctx = context.Background()

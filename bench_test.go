@@ -255,7 +255,7 @@ func benchParallelExtractor(b *testing.B, workers int) (*Extractor, []string) {
 	return ex, src.HTML
 }
 
-// BenchmarkWrapParallel measures the full Wrap + ExtractBatch path on a
+// BenchmarkWrapParallel measures the full Wrap + batch extract path on a
 // Table-1 source at increasing worker counts. On a multi-core runner the
 // per-page stages (clean, segment, annotate, tokenize, extract) scale
 // near-linearly; setup asserts the parallel output stays byte-identical
@@ -291,7 +291,7 @@ func BenchmarkWrapParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				batch, err := w.ExtractBatchErr(pages)
+				batch, err := w.ExtractStreamBatchContext(context.Background(), pages)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -150,7 +150,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "wrapper saved to %s\n", *saveWrapper)
 	}
 
-	perPage, err := w.ExtractBatchContext(ctx, pages)
+	perPage, err := w.ExtractStreamBatchContext(ctx, pages)
 	if err != nil {
 		return err
 	}

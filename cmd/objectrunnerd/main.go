@@ -64,7 +64,6 @@ func run() error {
 	cacheCap := flag.Int("cache-capacity", 64, "wrappers held in memory per source registry entry")
 	cacheTTL := flag.Duration("cache-ttl", 0, "wrapper expiry (0 = no expiry)")
 	healthThreshold := flag.Float64("health-threshold", 0, "empty-serve rate above which a wrapper is re-inferred (0 disables)")
-	streamExtract := flag.Bool("stream-extract", true, "serve cache hits from the streaming token-level extractor (false = tree path: parse+clean per page)")
 	workers := flag.Int("workers", 0, "pipeline worker goroutines per request (0 = one per CPU)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on waiting for in-flight handlers and the cache spill at shutdown")
 	flightTraces := flag.Int("flight-traces", 64, "request traces kept by the flight recorder (N most recent + N slowest, GET /v1/debug/traces)")
@@ -118,11 +117,10 @@ func run() error {
 		MaxBodyBytes:   *maxBody,
 		Workers:        *workers,
 		Store: objectrunner.StoreConfig{
-			Capacity:             *cacheCap,
-			TTL:                  *cacheTTL,
-			HealthThreshold:      *healthThreshold,
-			SpillDir:             *cacheDir,
-			DisableStreamExtract: !*streamExtract,
+			Capacity:        *cacheCap,
+			TTL:             *cacheTTL,
+			HealthThreshold: *healthThreshold,
+			SpillDir:        *cacheDir,
 		},
 		Obs:                observer,
 		FlightRecorderSize: *flightTraces,

@@ -2,6 +2,7 @@ package objectrunner_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -53,11 +54,11 @@ func ExampleWrapper_Save() {
 		log.Fatal(err)
 	}
 	unseen := page(`<li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div><div><span><a>Terminal 5</a></span></div></li>`)
-	objects, err := loaded.ExtractHTMLErr(unseen)
+	perPage, err := loaded.ExtractStreamBatchContext(context.Background(), []string{unseen})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, o := range objects {
+	for _, o := range perPage[0] {
 		fmt.Printf("%s @ %s\n", o.FieldValue("artist"), o.FieldValue("theater"))
 	}
 	// Output: The Strokes @ Terminal 5

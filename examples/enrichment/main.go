@@ -60,7 +60,7 @@ func main() {
 	// Extraction discovers values the dictionaries never had (structure
 	// carries them); Eq. 4 feeds them back.
 	unseen := page(rec("The Strokes", "Friday July 2, 2010 9:00pm") + rec("Arcade Fire", "Sunday July 4, 2010 7:30pm"))
-	discovered, err := w1.ExtractHTMLErr(unseen)
+	discovered, err := extractAll(ctx, w1, []string{unseen})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func main() {
 
 // extractAll flattens a per-page batch extraction into one object slice.
 func extractAll(ctx context.Context, w *objectrunner.Wrapper, pages []string) ([]*objectrunner.Object, error) {
-	perPage, err := w.ExtractBatchContext(ctx, pages)
+	perPage, err := w.ExtractStreamBatchContext(ctx, pages)
 	if err != nil {
 		return nil, err
 	}

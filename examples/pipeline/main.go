@@ -67,7 +67,7 @@ func main() {
 			fmt.Printf("  %-26s discarded (%v)\n", names[r.Index], err)
 			continue
 		}
-		perPage, err := w.ExtractBatchErr(sources[r.Index])
+		perPage, err := w.ExtractStreamBatchContext(context.Background(), sources[r.Index])
 		if err != nil {
 			fmt.Printf("  %-26s extraction failed (%v)\n", names[r.Index], err)
 			continue

@@ -62,13 +62,14 @@ func main() {
 	//    context variant stops promptly if the caller cancels;
 	//    errors.Is(err, objectrunner.ErrAborted) distinguishes "this
 	//    source does not carry the data" from real failures.
-	w, err := ex.WrapContext(context.Background(), pages)
+	ctx := context.Background()
+	w, err := ex.WrapContext(ctx, pages)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrapper:", w.Describe())
 
-	perPage, err := w.ExtractBatchErr(pages)
+	perPage, err := w.ExtractStreamBatchContext(ctx, pages)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func main() {
 	unseen := page(`<li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div>
 		<div><span><a>Terminal 5</a></span><span>610 West 56th Street</span>
 		<span>New York City</span><span>New York</span><span>10019</span></div></li>`)
-	discovered, err := w.ExtractHTMLErr(unseen)
+	perPage, err = w.ExtractStreamBatchContext(ctx, []string{unseen})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, o := range discovered {
+	for _, o := range perPage[0] {
 		fmt.Printf("unseen page: artist=%q theater=%q\n", o.FieldValue("artist"), o.FieldValue("theater"))
 	}
 }

@@ -1,13 +1,15 @@
 package objectrunner
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// extractAll concatenates ExtractBatchErr output across pages — the
-// test-side stand-in for the removed ExtractAllHTML convenience, on the
-// error-honest API.
+// extractAll concatenates the per-page output of
+// ExtractStreamBatchContext across pages.
 func extractAll(tb testing.TB, w *Wrapper, pages []string) []*Object {
 	tb.Helper()
-	batches, err := w.ExtractBatchErr(pages)
+	batches, err := w.ExtractStreamBatchContext(context.Background(), pages)
 	if err != nil {
 		tb.Fatalf("extract batch: %v", err)
 	}

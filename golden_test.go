@@ -2,6 +2,7 @@ package objectrunner
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -58,7 +59,11 @@ func TestGoldenFingerprint(t *testing.T) {
 					sb.WriteString(w.Report.String())
 				}
 				if !w.Aborted {
-					for pi, objs := range w.ExtractBatch(src.Pages) {
+					per, err := w.ExtractStreamBatchContext(context.Background(), src.HTML)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for pi, objs := range per {
 						for _, o := range objs {
 							fmt.Fprintf(&sb, "p%d %s\n", pi, o.String())
 						}

@@ -360,26 +360,14 @@ type Result struct {
 	AbortReason string
 }
 
-// SelectSample runs Algorithm 1: annotate the source's pages type by type
-// in decreasing selectivity order, keep shrinking the set to the richest
-// pages, abort when no visual block sustains the annotation threshold, and
-// return the top-k sample.
-func SelectSample(pages []*dom.Node, s *sod.Type, recs map[string]recognize.Recognizer, tf TermFreq, p Params) *Result {
-	return SelectSampleObserved(pages, s, recs, tf, p, nil)
-}
-
-// SelectSampleObserved is SelectSample reporting each annotation round,
-// the per-page Eq. 3 scores of the final sample, and the α-abort events
-// to the observer.
-func SelectSampleObserved(pages []*dom.Node, s *sod.Type, recs map[string]recognize.Recognizer, tf TermFreq, p Params, ob *obs.Observer) *Result {
-	res, _ := SelectSampleCtx(context.Background(), pages, s, recs, tf, p, ob)
-	return res
-}
-
-// SelectSampleCtx is SelectSampleObserved honoring cancellation: the
-// per-page annotation fan-outs stop dispatching once ctx is canceled, the
-// round loop checks ctx between types, and the context error is returned
-// with a nil result.
+// SelectSampleCtx runs Algorithm 1: annotate the source's pages type by
+// type in decreasing selectivity order, keep shrinking the set to the
+// richest pages, abort when no visual block sustains the annotation
+// threshold, and return the top-k sample. Each annotation round, the
+// per-page Eq. 3 scores of the final sample, and the α-abort events are
+// reported to the observer (nil-safe). The per-page annotation fan-outs
+// stop dispatching once ctx is canceled, the round loop checks ctx
+// between types, and the context error is returned with a nil result.
 func SelectSampleCtx(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[string]recognize.Recognizer, tf TermFreq, p Params, ob *obs.Observer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

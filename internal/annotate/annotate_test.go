@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -224,7 +225,10 @@ func sourcePages(rich, poor int) []*dom.Node {
 func TestSelectSamplePrefersRichPages(t *testing.T) {
 	pages := sourcePages(6, 6)
 	recs := concertRecs()
-	res := SelectSample(pages, concertSOD(), recs, nil, Params{SampleSize: 4, Alpha: 0.5, Shrink: 0.5})
+	res, err := SelectSampleCtx(context.Background(), pages, concertSOD(), recs, nil, Params{SampleSize: 4, Alpha: 0.5, Shrink: 0.5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Aborted {
 		t.Fatalf("aborted: %s", res.AbortReason)
 	}
@@ -240,7 +244,10 @@ func TestSelectSamplePrefersRichPages(t *testing.T) {
 
 func TestSelectSampleTypeOrder(t *testing.T) {
 	pages := sourcePages(3, 0)
-	res := SelectSample(pages, concertSOD(), concertRecs(), nil, DefaultParams())
+	res, err := SelectSampleCtx(context.Background(), pages, concertSOD(), concertRecs(), nil, DefaultParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.TypeOrder) != 4 {
 		t.Fatalf("type order = %v", res.TypeOrder)
 	}
@@ -253,7 +260,10 @@ func TestSelectSampleTypeOrder(t *testing.T) {
 
 func TestSelectSampleAbortsOnIrrelevantSource(t *testing.T) {
 	pages := sourcePages(0, 8)
-	res := SelectSample(pages, concertSOD(), concertRecs(), nil, Params{SampleSize: 4, Alpha: 0.5, Shrink: 0.5})
+	res, err := SelectSampleCtx(context.Background(), pages, concertSOD(), concertRecs(), nil, Params{SampleSize: 4, Alpha: 0.5, Shrink: 0.5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Aborted {
 		t.Error("irrelevant source not aborted")
 	}
@@ -264,7 +274,10 @@ func TestSelectSampleAbortsOnIrrelevantSource(t *testing.T) {
 
 func TestSelectSampleAlphaZeroDisablesAbort(t *testing.T) {
 	pages := sourcePages(0, 8)
-	res := SelectSample(pages, concertSOD(), concertRecs(), nil, Params{SampleSize: 4, Alpha: 0, Shrink: 0.5})
+	res, err := SelectSampleCtx(context.Background(), pages, concertSOD(), concertRecs(), nil, Params{SampleSize: 4, Alpha: 0, Shrink: 0.5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Aborted {
 		t.Error("abort with alpha=0")
 	}

@@ -112,8 +112,7 @@ func (z *Tokenizer) nextText(tok *Token) {
 
 func (z *Tokenizer) nextRawText(tok *Token) {
 	end := "</" + z.rawTag
-	low := strings.ToLower(z.src[z.pos:])
-	idx := strings.Index(low, end)
+	idx := indexEndTag(z.src[z.pos:], z.rawTag)
 	if idx < 0 {
 		// Unterminated raw element: consume everything.
 		text := z.src[z.pos:]
@@ -143,6 +142,25 @@ func (z *Tokenizer) nextRawText(tok *Token) {
 	z.pos += idx
 	tok.Type = TextToken
 	tok.Data = text
+}
+
+// indexEndTag returns the offset in s of the first "</" followed by tag,
+// matched case-insensitively, or -1. It searches s's own bytes: a
+// lower-cased copy can differ in length (invalid UTF-8 becomes U+FFFD),
+// so an offset into the copy can fall outside s. tag is a lower-case
+// ASCII raw-text tag name, and each candidate is exactly len(tag)
+// bytes, so EqualFold matches ASCII letters only.
+func indexEndTag(s, tag string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+2:]; len(rest) >= len(tag) && strings.EqualFold(rest[:len(tag)], tag) {
+			return i
+		}
+	}
 }
 
 // nextTag attempts to lex a tag, comment or doctype at the current '<',

@@ -153,7 +153,8 @@ func (b *Base) analyzeInPlace(hook func(a *Analysis) bool, ob *obs.Observer) *An
 // sequential stretch between parallel stages.
 func copyPages(pages [][]*Occurrence, workers int) [][]*Occurrence {
 	fresh := make([][]*Occurrence, len(pages))
-	parallel.ForEach(workers, len(pages), func(i int) {
+	// A nil context never cancels, so every page is copied.
+	parallel.ForEachCtx(nil, workers, len(pages), func(i int) {
 		fresh[i] = CopyPage(pages[i])
 	})
 	return fresh

@@ -135,7 +135,7 @@ type Analysis struct {
 	// profiles holds per-class slot profiles, keyed by EQ id (filled by
 	// BuildHierarchy).
 	profiles map[int][]SlotProfile
-	// obs receives the per-step events of AnalyzeObserved.
+	// obs receives the events of every differentiation step.
 	obs *obs.Observer
 	// pageOff is the flat occurrence layout (see initLayout), shared
 	// with the Base the analysis resumed from.
@@ -163,20 +163,16 @@ func (a *Analysis) total() int { return a.layout()[len(a.Pages)] }
 // the outer fixpoint. The abort check of §III.E runs in the wrapper
 // package between iterations via the Hook.
 func Analyze(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool) *Analysis {
-	return AnalyzeObserved(pages, p, hook, nil)
+	return AnalyzeTable(pages, p, hook, nil, nil)
 }
 
-// AnalyzeObserved is Analyze reporting the role counts and EQ counts of
+// AnalyzeTable is Analyze reporting the role counts and EQ counts of
 // every differentiation step — (i) HTML features, (ii) positions within
 // equivalence classes, (iii) non-conflicting and (iv) conflicting
-// annotations — plus invalid-EQ salvage events, to the observer.
-func AnalyzeObserved(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Analysis {
-	return AnalyzeTable(pages, p, hook, ob, nil)
-}
-
-// AnalyzeTable is AnalyzeObserved interning into a caller-supplied symbol
-// table (nil creates a private one). Occurrences already carrying symbols
-// must have been interned against the same table; they are not re-interned.
+// annotations — plus invalid-EQ salvage events, to the observer, and
+// interning into a caller-supplied symbol table (nil creates a private
+// one). Occurrences already carrying symbols must have been interned
+// against the same table; they are not re-interned.
 // It is the staged core run end to end for a single support value: build
 // the per-corpus Base snapshot, then run the fixpoint in place on the
 // caller's pages (their occurrences carry the final role assignment).

@@ -11,18 +11,14 @@ import "objectrunner/internal/symtab"
 // not persisted; the hierarchy links are restored by the template layer,
 // which owns the tree shape.
 
-// PersistedDesc is the persisted form of one separator descriptor. Since
-// stream v2 the Value and Path strings are stored once in the wrapper's
-// symbol list and referenced here by id (Val/Pth); v1 payloads carry the
-// inline strings and no ids, and the reader rebuilds the symbol table
-// from them.
+// PersistedDesc is the persisted form of one separator descriptor. The
+// Value and Path strings are stored once in the wrapper's symbol list
+// and referenced here by id (Val/Pth).
 type PersistedDesc struct {
-	Kind    int    `json:"kind"`
-	Value   string `json:"value,omitempty"`
-	Path    string `json:"path,omitempty"`
-	Val     int    `json:"val,omitempty"`
-	Pth     int    `json:"pth,omitempty"`
-	Ordinal int    `json:"ordinal,omitempty"`
+	Kind    int `json:"kind"`
+	Val     int `json:"val,omitempty"`
+	Pth     int `json:"pth,omitempty"`
+	Ordinal int `json:"ordinal,omitempty"`
 }
 
 // PersistedEQ is the persisted form of one equivalence class, sans
@@ -53,11 +49,9 @@ func (e *EQ) Persist() PersistedEQ {
 	return p
 }
 
-// Restore rebuilds the class. Parent and Children stay nil — the caller
-// re-links them from the persisted tree shape. With a non-nil table (v2
-// streams) descriptor strings are resolved from their symbol ids; with a
-// nil table (v1 streams) the inline strings are taken as-is and the
-// caller re-interns the template afterwards.
+// Restore rebuilds the class, resolving descriptor strings from their
+// symbol ids in tab. Parent and Children stay nil — the caller re-links
+// them from the persisted tree shape.
 func (p PersistedEQ) Restore(tab *symtab.Table) *EQ {
 	e := &EQ{
 		ID:         p.ID,
@@ -67,12 +61,11 @@ func (p PersistedEQ) Restore(tab *symtab.Table) *EQ {
 		OrderHint:  p.OrderHint,
 	}
 	for _, d := range p.Descs {
-		rd := Desc{Kind: TokKind(d.Kind), Value: d.Value, Path: d.Path, Ordinal: d.Ordinal}
-		if tab != nil {
-			rd.Val, rd.Pth = symtab.Sym(d.Val), symtab.Sym(d.Pth)
-			rd.Value, rd.Path = tab.StringOf(rd.Val), tab.StringOf(rd.Pth)
-		}
-		e.Descs = append(e.Descs, rd)
+		val, pth := symtab.Sym(d.Val), symtab.Sym(d.Pth)
+		e.Descs = append(e.Descs, Desc{
+			Kind: TokKind(d.Kind), Val: val, Pth: pth, Ordinal: d.Ordinal,
+			Value: tab.StringOf(val), Path: tab.StringOf(pth),
+		})
 	}
 	return e
 }

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -95,7 +96,9 @@ func (e *Env) RunOR(dd *sitegen.DomainData, src *sitegen.Source, cfg wrapper.Con
 	}
 	var extracted [][]eval.Record
 	if !w.Aborted {
-		for _, objs := range w.ExtractBatch(src.Pages) {
+		// A background context never cancels, so the error is always nil.
+		per, _ := w.ExtractStreamBatchContext(context.Background(), src.HTML)
+		for _, objs := range per {
 			extracted = append(extracted, eval.RecordsFromInstances(objs))
 		}
 	}

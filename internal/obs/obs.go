@@ -11,13 +11,17 @@
 //	pipeline.segment    VIPS-style central-block selection
 //	pipeline.annotate   Algorithm 1 (Eq. 3 scores, top-k, α-abort)
 //	pipeline.infer      the whole wrapper-generation run
+//	pipeline.tokenize   fused tokenize + intern of the sample
+//	pipeline.eqbase     the shared Algorithm 2 base snapshot
 //	pipeline.variation  one token-support value of the §IV loop
 //	pipeline.eqclass    Algorithm 2 over the sample
 //	pipeline.template   template construction + SOD matching
-//	pipeline.extract    applying the wrapper to one page
-//	pipeline.extract_batch  fan-out extraction over a page batch
-//	pipeline.worker     one worker goroutine of a parallel stage
+//	pipeline.extract    applying the wrapper to one parsed page
+//	pipeline.extract_stream        applying the wrapper to one raw page
+//	pipeline.extract_stream_batch  fan-out extraction over raw pages
+//	pipeline.worker     one worker of a parallel stage
 //	pipeline.enrich     dictionary enrichment (Eq. 4)
+//	http.request        one daemon request
 //
 // Counter and histogram aggregation is goroutine-safe (a single mutex in
 // metrics), sinks are required to be safe for concurrent use, and span

@@ -43,15 +43,16 @@ func chunkAt(workers, n, w int) Chunk {
 	return Chunk{Lo: lo, Hi: hi}
 }
 
-// MapWorkersCtx is the fused per-worker primitive: it partitions [0, n)
-// into the deterministic contiguous Chunks(workers, n), runs fn once per
-// chunk — all chunks concurrently — and returns the per-chunk results in
-// chunk order. Unlike ForEach, which balances
-// per-index over a channel, a chunk is owned start-to-finish by a single
+// MapWorkersCtx is the package's one fan-out primitive: it partitions
+// [0, n) into the deterministic contiguous Chunks(workers, n), runs fn
+// once per chunk — all chunks concurrently — and returns the per-chunk
+// results in chunk order. A chunk is owned start-to-finish by a single
 // worker, so fn can accumulate worker-local state (a local symbol table,
 // a local buffer) across its whole range with zero cross-worker
 // synchronization, and the caller can merge the returned states in a
-// deterministic left-to-right pass.
+// deterministic left-to-right pass. The per-index forms (ForEachCtx,
+// ForEachObservedCtx) run on its workers but claim indices one at a
+// time instead of using the chunk bounds.
 //
 // fn receives ctx and is responsible for its own cancellation checks
 // between items; MapWorkersCtx itself only refuses to start work on an

@@ -6,16 +6,17 @@
 // merged in stable input order and output stays byte-identical to the
 // sequential path regardless of scheduling.
 //
-// The Ctx variants additionally honor context cancellation: once the
-// context is canceled (or any worker panics), no further indices are
-// dispatched — each worker finishes at most the item it already holds, so
-// cancellation latency is bounded by one in-flight item per worker.
+// There is one fan-out implementation, MapWorkersCtx (chunks.go); the
+// per-index forms below run on its workers. They honor context
+// cancellation: once the context is canceled (or any index panics), no
+// further index starts — each worker finishes at most the item it
+// already holds, so cancellation latency is bounded by one in-flight
+// item per worker.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"objectrunner/internal/obs"
@@ -30,165 +31,109 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach invokes fn(i) for every i in [0, n), fanning the indices out
-// across at most workers goroutines and blocking until all calls return.
-// workers <= 1 (or n <= 1) degenerates to a plain sequential loop on the
-// calling goroutine. fn must confine its writes to per-index state; a
-// panic in any fn is re-raised on the calling goroutine after the pool
-// drains.
-func ForEach(workers, n int, fn func(i int)) {
-	ForEachWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForEachCtx is ForEach honoring cancellation: queued indices stop being
-// dispatched once ctx is canceled, and the context error is returned.
-// Indices already handed to a worker still complete, so callers must
-// treat the result slots as partially filled when a non-nil error comes
-// back. A nil ctx behaves like context.Background().
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
-	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach exposing the worker ordinal (0-based) running
-// each index, for per-worker accounting.
-func ForEachWorker(workers, n int, fn func(worker, i int)) {
-	// The background context never cancels, so the error is always nil.
-	_ = ForEachWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachWorkerCtx is the context-aware core of the pool. Indices are
-// handed out through an unbuffered channel rather than pre-sliced so that
-// skewed pages (one huge, many tiny) still balance; the feeder stops at
-// the first of: all indices dispatched, ctx canceled, or a worker panic.
-// Remaining indices are never dispatched in the latter two cases.
+// ForEachCtx invokes fn(i) for every i in [0, n), fanning the indices
+// out across at most workers goroutines and blocking until all calls
+// return. workers <= 1 (or n <= 1) degenerates to a plain sequential
+// loop on the calling goroutine. fn must confine its writes to per-index
+// state; a panic in any fn is re-raised on the calling goroutine after
+// the pool drains.
 //
-// The error reports whether the input was fully processed, not whether
-// the context is canceled now: when every index was dispatched and
-// completed, the return is nil even if a cancellation raced the final
-// items — callers own a fully-populated result slice and must not
-// discard it.
-func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int)) error {
+// Once ctx is canceled no further index starts and the context error is
+// returned; indices already running still complete, so callers must
+// treat the result slots as partially filled when a non-nil error comes
+// back. The error reports whether the input was fully processed, not
+// whether the context is canceled now: when every index completed, the
+// return is nil even if a cancellation raced the final items. A nil ctx
+// behaves like context.Background().
+func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
+	return forEach(ctx, nil, workers, n, func(_ *obs.Observer, _, i int) { fn(i) })
+}
+
+// ForEachObservedCtx is ForEachCtx with observability: each worker runs
+// under its own "pipeline.worker" span parented to ob (nil-safe), and fn
+// receives the worker-scoped observer so nested spans and events land
+// under the right worker. The span records the number of items the
+// worker processed.
+func ForEachObservedCtx(ctx context.Context, ob *obs.Observer, workers, n int, fn func(wob *obs.Observer, i int)) error {
+	return forEach(ctx, ob, workers, n, func(wob *obs.Observer, _, i int) { fn(wob, i) })
+}
+
+// forEach is the core of the per-index forms. It runs fn once per index
+// on MapWorkersCtx's workers, passing the worker ordinal (0 on the
+// sequential path) and the worker-scoped observer (nil when ob is
+// disabled). The workers ignore their chunk bounds and claim indices
+// from one shared cursor instead, so items of uneven cost still balance:
+// the annotation rounds, for one, process pages sorted richest first.
+func forEach(ctx context.Context, ob *obs.Observer, workers, n int, fn func(wob *obs.Observer, worker, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if n <= 0 {
 		return nil
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
+	if min(Workers(workers), n) == 1 {
+		// The sequential path stays a loop on the caller; c stays on
+		// its stack, so the path allocates nothing.
+		var c claims
+		return runWorker(ctx, ob, 0, n, &c, fn)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	c := &claims{yield: true}
+	_, err := MapWorkersCtx(ctx, workers, n, func(ctx context.Context, worker int, _ Chunk) (struct{}, error) {
+		defer func() {
+			if r := recover(); r != nil {
+				c.failed.Store(true)
+				panic(r)
 			}
-			fn(0, i)
-		}
-		// Every index ran: the work is complete whatever the context
-		// did while the last item was in flight.
-		return nil
+		}()
+		return struct{}{}, runWorker(ctx, ob, worker, n, c, fn)
+	})
+	return err
+}
+
+// claims is the state the workers of one fan-out share: the next index
+// to run, and whether an index panicked. MapWorkersCtx re-raises the
+// panic once every worker has returned.
+type claims struct {
+	next   atomic.Int64
+	failed atomic.Bool
+	// yield hands the CPU on after every item when several workers
+	// share the fan-out. Without it a worker keeps its CPU until the
+	// scheduler preempts it on a timer: at one CPU the allocation count
+	// of a fan-out then varies from run to run, and a request that
+	// arrives during a long wrap fan-out waits longer for a CPU.
+	yield bool
+}
+
+// runWorker runs fn on the indices it claims until none is left, ctx
+// is canceled or another worker panicked, under a pipeline.worker span
+// when ob is enabled. It returns nil unless it claimed an index it did
+// not run, so the fan-out's error is nil exactly when every index ran.
+func runWorker(ctx context.Context, ob *obs.Observer, worker, n int, c *claims, fn func(wob *obs.Observer, worker, i int)) error {
+	var sp *obs.Span
+	var wob *obs.Observer
+	if ob.Enabled() {
+		sp = ob.WorkerSpan(worker)
+		wob = sp.Observer()
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	// failed stops the feeder after a worker panic, so the pool never
-	// drains the whole input on behalf of a dead computation.
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-					failed.Store(true)
-					// Drain so the feeder never blocks on a dead pool.
-					for range idx {
-					}
-				}
-			}()
-			for i := range idx {
-				fn(worker, i)
-			}
-		}(w)
-	}
-	done := ctx.Done()
-	dispatched := 0
-feed:
-	for i := 0; i < n; i++ {
-		if failed.Load() {
+	items := 0
+	var err error
+	for {
+		i := int(c.next.Add(1) - 1)
+		// After a panic the caller sees the panic, not this result.
+		if i >= n || c.failed.Load() {
 			break
 		}
-		// Deterministic pre-check: a select with both cases ready picks
-		// randomly, which would let extra items slip out after a cancel.
-		select {
-		case <-done:
-			break feed
-		default:
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		select {
-		case idx <- i:
-			dispatched++
-		case <-done:
-			break feed
+		fn(wob, worker, i)
+		items++
+		if c.yield {
+			runtime.Gosched()
 		}
 	}
-	close(idx)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	if dispatched == n {
-		// A dispatched index is a completed index once wg.Wait returns;
-		// all n completed, so the caller's result slice is whole.
-		return nil
-	}
-	return ctx.Err()
-}
-
-// ForEachObserved is ForEachWorker with observability: each worker runs
-// under its own "pipeline.worker" span parented to ob (nil-safe), and fn
-// receives the worker-scoped observer so nested spans and events land
-// under the right worker. The span records the number of items the
-// worker processed.
-func ForEachObserved(ob *obs.Observer, workers, n int, fn func(wob *obs.Observer, i int)) {
-	_ = ForEachObservedCtx(context.Background(), ob, workers, n, fn)
-}
-
-// ForEachObservedCtx is ForEachObserved honoring cancellation, with the
-// same partial-result contract as ForEachCtx.
-func ForEachObservedCtx(ctx context.Context, ob *obs.Observer, workers, n int, fn func(wob *obs.Observer, i int)) error {
-	if !ob.Enabled() {
-		return ForEachWorkerCtx(ctx, workers, n, func(_, i int) { fn(nil, i) })
-	}
-	type state struct {
-		span  *obs.Span
-		wob   *obs.Observer
-		items int
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	states := make([]state, workers)
-	err := ForEachWorkerCtx(ctx, workers, n, func(worker, i int) {
-		st := &states[worker]
-		if st.span == nil {
-			st.span = ob.WorkerSpan(worker)
-			st.wob = st.span.Observer()
-		}
-		st.items++
-		fn(st.wob, i)
-	})
-	for i := range states {
-		if states[i].span != nil {
-			states[i].span.End(obs.A("items", states[i].items))
-		}
+	if sp != nil {
+		sp.End(obs.A("items", items))
 	}
 	return err
 }

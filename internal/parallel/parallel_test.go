@@ -27,7 +27,9 @@ func TestForEachCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 100} {
 		for _, n := range []int{0, 1, 7, 64} {
 			hits := make([]int32, n)
-			ForEach(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			if err := ForEachCtx(context.Background(), workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+				t.Fatalf("workers=%d n=%d: err = %v", workers, n, err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Errorf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
@@ -41,7 +43,7 @@ func TestForEachWorkerOrdinalInBounds(t *testing.T) {
 	const workers, n = 4, 32
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	ForEachWorker(workers, n, func(worker, i int) {
+	forEach(context.Background(), nil, workers, n, func(_ *obs.Observer, worker, i int) {
 		if worker < 0 || worker >= workers {
 			t.Errorf("worker ordinal %d out of [0, %d)", worker, workers)
 		}
@@ -55,7 +57,7 @@ func TestForEachWorkerOrdinalInBounds(t *testing.T) {
 }
 
 func TestForEachSequentialFastPathUsesWorkerZero(t *testing.T) {
-	ForEachWorker(1, 8, func(worker, i int) {
+	forEach(context.Background(), nil, 1, 8, func(_ *obs.Observer, worker, i int) {
 		if worker != 0 {
 			t.Errorf("sequential path reported worker %d", worker)
 		}
@@ -68,7 +70,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the worker's panic value", r)
 		}
 	}()
-	ForEach(4, 16, func(i int) {
+	ForEachCtx(context.Background(), 4, 16, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -79,10 +81,12 @@ func TestForEachPanicPropagates(t *testing.T) {
 func TestForEachObservedSharesMetricsAndEndsWorkerSpans(t *testing.T) {
 	ob := obs.New()
 	var total int64
-	ForEachObserved(ob, 4, 10, func(wob *obs.Observer, i int) {
+	if err := ForEachObservedCtx(context.Background(), ob, 4, 10, func(wob *obs.Observer, i int) {
 		wob.Count("test.items", 1)
 		atomic.AddInt64(&total, 1)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if total != 10 {
 		t.Fatalf("ran %d items, want 10", total)
 	}
@@ -101,12 +105,14 @@ func TestForEachObservedSharesMetricsAndEndsWorkerSpans(t *testing.T) {
 
 func TestForEachObservedDisabledObserver(t *testing.T) {
 	hits := make([]int32, 6)
-	ForEachObserved(nil, 3, len(hits), func(wob *obs.Observer, i int) {
+	if err := ForEachObservedCtx(context.Background(), nil, 3, len(hits), func(wob *obs.Observer, i int) {
 		if wob.Enabled() {
 			t.Error("disabled parent produced an enabled worker observer")
 		}
 		atomic.AddInt32(&hits[i], 1)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Errorf("index %d visited %d times", i, h)
@@ -140,8 +146,8 @@ func TestForEachCtxStopsDispatchOnCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Bounded by one in-flight item per worker around the cancel point:
-	// the feeder may have parked one extra index per worker before the
-	// cancellation was observed.
+	// a worker may have passed its cancellation check just before the
+	// cancel landed.
 	if got := atomic.LoadInt32(&ran); got > 2*workers {
 		t.Errorf("ran %d items after cancel, want <= %d", got, 2*workers)
 	}
@@ -173,7 +179,7 @@ func TestForEachStopsDispatchAfterWorkerPanic(t *testing.T) {
 				t.Fatalf("recovered %v, want the worker's panic value", r)
 			}
 		}()
-		ForEach(workers, n, func(i int) {
+		ForEachCtx(context.Background(), workers, n, func(i int) {
 			v := atomic.AddInt32(&ran, 1)
 			if v == 1 {
 				panic("die")
@@ -183,7 +189,7 @@ func TestForEachStopsDispatchAfterWorkerPanic(t *testing.T) {
 		})
 		t.Fatal("panic was swallowed")
 	}()
-	// Far below n: the feeder must stop once the panic is observed.
+	// Far below n: the other chunks must stop once the panic is observed.
 	if got := atomic.LoadInt32(&ran); got > n/2 {
 		t.Errorf("ran %d of %d items after a worker panic; dispatch did not stop", got, n)
 	}
@@ -195,18 +201,17 @@ func TestForEachStopsDispatchAfterWorkerPanic(t *testing.T) {
 // dispatched and completed — callers own a fully-populated result slice
 // and would wrongly discard it.
 func TestForEachCtxNilAfterAllIndicesCompleted(t *testing.T) {
-	const workers, n = 4, 4
+	const workers, n = 4, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int32
-	// The feeder hands out indices in order over an unbuffered channel,
-	// so when fn(n-1) runs every index has been dispatched; canceling
-	// there guarantees the cancel races (and loses to) full dispatch.
+	// The item that brings the counter to n is the last to finish: every
+	// index has started by then, so the cancel races (and loses to)
+	// completion of the whole input.
 	err := ForEachCtx(ctx, workers, n, func(i int) {
-		if i == n-1 {
+		if atomic.AddInt32(&ran, 1) == n {
 			cancel()
 		}
-		atomic.AddInt32(&ran, 1)
 	})
 	if err != nil {
 		t.Fatalf("err = %v after all %d indices completed, want nil", err, n)

@@ -214,25 +214,15 @@ func FindByKey(doc *dom.Node, k Key) *dom.Node {
 	return pathMatch
 }
 
-// SelectMain picks the main block for every page of a source. The main
-// block is computed independently per page, the most frequent key wins the
-// vote, and each page is then resolved against the winning key (falling
-// back to that page's own main block when the key is absent, e.g. when the
-// block structure varies). The returned slice is parallel to pages.
-func SelectMain(pages []*dom.Node, opts Options) []*dom.Node {
-	return SelectMainObserved(pages, opts, nil)
-}
-
-// SelectMainObserved is SelectMain reporting each page's central-block
-// choice and the winning vote to the observer.
-func SelectMainObserved(pages []*dom.Node, opts Options, ob *obs.Observer) []*dom.Node {
-	out, _ := SelectMainCtx(context.Background(), pages, opts, ob)
-	return out
-}
-
-// SelectMainCtx is SelectMainObserved honoring cancellation: the per-page
-// layout fan-out stops dispatching once ctx is canceled, and the context
-// error is returned with a nil slice.
+// SelectMainCtx picks the main block for every page of a source. The
+// main block is computed independently per page, the most frequent key
+// wins the vote, and each page is then resolved against the winning key
+// (falling back to that page's own main block when the key is absent,
+// e.g. when the block structure varies). The returned slice is parallel
+// to pages. Each page's central-block choice and the winning vote are
+// reported to the observer (nil-safe). The per-page layout fan-out stops
+// dispatching once ctx is canceled, and the context error is returned
+// with a nil slice.
 func SelectMainCtx(ctx context.Context, pages []*dom.Node, opts Options, ob *obs.Observer) ([]*dom.Node, error) {
 	if len(pages) == 0 {
 		return nil, ctx.Err()

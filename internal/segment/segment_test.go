@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -139,7 +140,10 @@ func TestSelectMainVotes(t *testing.T) {
 		clean.Page(pageWithChrome(6)),
 		clean.Page(pageWithChrome(5)),
 	}
-	mains := SelectMain(pages, DefaultOptions())
+	mains, err := SelectMainCtx(context.Background(), pages, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(mains) != 3 {
 		t.Fatalf("got %d mains", len(mains))
 	}
@@ -156,8 +160,8 @@ func TestSelectMainVotes(t *testing.T) {
 }
 
 func TestSelectMainEmpty(t *testing.T) {
-	if got := SelectMain(nil, DefaultOptions()); got != nil {
-		t.Error("SelectMain(nil) should be nil")
+	if got, err := SelectMainCtx(context.Background(), nil, DefaultOptions(), nil); got != nil || err != nil {
+		t.Errorf("SelectMainCtx(nil) = %v, %v; want nil, nil", got, err)
 	}
 }
 

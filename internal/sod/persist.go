@@ -77,11 +77,15 @@ func (p *TypePool) Add(t *Type) int {
 func (p *TypePool) Records() []PersistedType { return p.records }
 
 // DecodeTypePool rebuilds live types from persisted records. The returned
-// slice is indexed by pool id; references out of range are an error.
+// slice is indexed by pool id. References out of range, a set without an
+// element type, a disjunction of other than two types, a missing field
+// type, an unknown kind, and a type that contains itself (rendering or
+// walking it would never end) are errors.
 func DecodeTypePool(records []PersistedType) ([]*Type, error) {
 	types := make([]*Type, len(records))
+	backing := make([]Type, len(records))
 	for i := range types {
-		types[i] = &Type{}
+		types[i] = &backing[i]
 	}
 	ref := func(id int) (*Type, error) {
 		if id == -1 {
@@ -93,6 +97,9 @@ func DecodeTypePool(records []PersistedType) ([]*Type, error) {
 		return types[id], nil
 	}
 	for i, rec := range records {
+		if err := checkShape(i, rec); err != nil {
+			return nil, err
+		}
 		t := types[i]
 		t.Kind = Kind(rec.Kind)
 		t.Name = rec.Name
@@ -112,5 +119,72 @@ func DecodeTypePool(records []PersistedType) ([]*Type, error) {
 			t.Fields = append(t.Fields, f)
 		}
 	}
+	if err := checkAcyclic(records); err != nil {
+		return nil, err
+	}
 	return types, nil
+}
+
+// checkShape reports a record whose kind is unknown or whose references
+// do not fit its kind: rendering it would dereference a missing type.
+func checkShape(id int, rec PersistedType) error {
+	switch Kind(rec.Kind) {
+	case KindEntity, KindTuple:
+	case KindSet:
+		if rec.Elem == -1 {
+			return fmt.Errorf("sod: type pool entry %d is a set without an element type", id)
+		}
+	case KindDisjunction:
+		if len(rec.Fields) != 2 {
+			return fmt.Errorf("sod: type pool entry %d is a disjunction of %d types, want 2", id, len(rec.Fields))
+		}
+	default:
+		return fmt.Errorf("sod: type pool entry %d has unknown kind %d", id, rec.Kind)
+	}
+	for _, f := range rec.Fields {
+		if f == -1 {
+			return fmt.Errorf("sod: type pool entry %d has a missing field type", id)
+		}
+	}
+	return nil
+}
+
+// checkAcyclic reports a type that is its own element or field, directly
+// or through others. References must already be in range.
+func checkAcyclic(records []PersistedType) error {
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	state := make([]uint8, len(records))
+	var visit func(id int) error
+	visit = func(id int) error {
+		switch state[id] {
+		case onPath:
+			return fmt.Errorf("sod: type pool entry %d contains itself", id)
+		case done:
+			return nil
+		}
+		state[id] = onPath
+		rec := records[id]
+		if rec.Elem >= 0 {
+			if err := visit(rec.Elem); err != nil {
+				return err
+			}
+		}
+		for _, f := range rec.Fields {
+			if err := visit(f); err != nil {
+				return err
+			}
+		}
+		state[id] = done
+		return nil
+	}
+	for id := range records {
+		if err := visit(id); err != nil {
+			return err
+		}
+	}
+	return nil
 }

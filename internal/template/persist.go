@@ -74,8 +74,8 @@ type PersistedMatch struct {
 // rewriting the descriptors' Val/Pth symbols in place. The walk order —
 // roots pre-order, descriptors in slice order, Value before Path — is the
 // same order Persist emits descriptors in, so a wrapper's symbol table is
-// identical whether it was built at inference time, rebuilt from a v1
-// stream, or restored from a v2 symbol list.
+// identical whether it was built at inference time or restored from a
+// persisted symbol list.
 func InternDescs(t *Template, tab *symtab.Table) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -93,9 +93,10 @@ func InternDescs(t *Template, tab *symtab.Table) {
 	}
 }
 
-// Persist flattens the template tree and its matches. Types reachable
-// from the matches are interned into pool; the caller persists
-// pool.Records() alongside the returned structures.
+// Persist flattens the template tree and its matches. Nodes are numbered
+// in pre-order, roots in order — the only numbering Restore accepts.
+// Types reachable from the matches are interned into pool; the caller
+// persists pool.Records() alongside the returned structures.
 func Persist(t *Template, matches []*Match, pool *sod.TypePool) (*PersistedTemplate, []*PersistedMatch) {
 	pt := &PersistedTemplate{DominanceThreshold: t.DominanceThreshold}
 	ids := make(map[*Node]int)
@@ -192,10 +193,14 @@ func sortedTypeKeys(keys []*sod.Type) []*sod.Type {
 
 // Restore rebuilds the template tree and matches from their persisted
 // forms. types is the decoded type pool (sod.DecodeTypePool); tab is the
-// restored symbol table for v2 streams (descriptor strings resolve from
-// their symbol ids) or nil for v1 streams (inline strings are used, and
-// the caller runs InternDescs afterwards).
+// restored symbol table the descriptors' symbol ids resolve against.
+// The node graph must be the forest Persist writes, numbered in
+// pre-order, or Restore fails: a node that is its own ancestor would
+// send every later walk of the tree into endless recursion.
 func Restore(pt *PersistedTemplate, pms []*PersistedMatch, types []*sod.Type, tab *symtab.Table) (*Template, []*Match, error) {
+	if err := checkForest(pt); err != nil {
+		return nil, nil, err
+	}
 	t := &Template{DominanceThreshold: pt.DominanceThreshold}
 	nodes := make([]*Node, len(pt.Nodes))
 	for i := range nodes {
@@ -220,11 +225,7 @@ func Restore(pt *PersistedTemplate, pms []*PersistedMatch, types []*sod.Type, ta
 			})
 		}
 		for _, cid := range rec.Children {
-			c, err := nodeRef(cid)
-			if err != nil {
-				return nil, nil, err
-			}
-			n.Children = append(n.Children, c)
+			n.Children = append(n.Children, nodes[cid])
 		}
 	}
 	// Hierarchy links: the persisted tree shape is authoritative for both
@@ -236,11 +237,7 @@ func Restore(pt *PersistedTemplate, pms []*PersistedMatch, types []*sod.Type, ta
 		}
 	}
 	for _, rid := range pt.Roots {
-		r, err := nodeRef(rid)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.Roots = append(t.Roots, r)
+		t.Roots = append(t.Roots, nodes[rid])
 	}
 	typeRef := func(id int) (*sod.Type, error) {
 		if id < 0 || id >= len(types) {
@@ -317,4 +314,36 @@ func Restore(pt *PersistedTemplate, pms []*PersistedMatch, types []*sod.Type, ta
 		matches = append(matches, m)
 	}
 	return t, matches, nil
+}
+
+// checkForest verifies that the persisted node graph is exactly the
+// forest Persist writes: walking it from the roots, in order, visits
+// every node once and in id order. A node listed twice, listed as its
+// own ancestor, or never listed fails the walk.
+func checkForest(pt *PersistedTemplate) error {
+	next := 0
+	for _, r := range pt.Roots {
+		if err := walkPreorder(pt, r, &next); err != nil {
+			return err
+		}
+	}
+	if next != len(pt.Nodes) {
+		return fmt.Errorf("template: %d of %d nodes reachable from the roots (not a tree)", next, len(pt.Nodes))
+	}
+	return nil
+}
+
+// walkPreorder checks that the subtree of node id is numbered in
+// pre-order starting at *next, advancing *next past it.
+func walkPreorder(pt *PersistedTemplate, id int, next *int) error {
+	if id != *next || id >= len(pt.Nodes) {
+		return fmt.Errorf("template: node reference %d where pre-order expects %d of %d (not a tree)", id, *next, len(pt.Nodes))
+	}
+	*next++
+	for _, c := range pt.Nodes[id].Children {
+		if err := walkPreorder(pt, c, next); err != nil {
+			return err
+		}
+	}
+	return nil
 }

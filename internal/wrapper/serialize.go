@@ -39,15 +39,12 @@ import (
 // FormatMagic identifies the persistence stream.
 const FormatMagic = "objectrunner-wrapper"
 
-// FormatVersion is the current stream version. v2 introduced the
-// wrapper-scoped symbol table: descriptor Value/Path strings are stored
-// once in the Symbols list and referenced by id from the template tree.
-// v1 streams (inline strings, no symbol list) still load — the reader
-// rebuilds the table by re-interning the template in walk order.
+// FormatVersion is the stream version, the only one Decode accepts. v2
+// introduced the wrapper-scoped symbol table: descriptor Value/Path
+// strings are stored once in the Symbols list and referenced by id from
+// the template tree. Spills are a cache, so a stream of any other
+// version is ErrFormat, then a miss, then a re-infer.
 const FormatVersion = 2
-
-// minFormatVersion is the oldest stream version Decode accepts.
-const minFormatVersion = 1
 
 // ErrFormat reports a stream that is not a wrapper persistence stream, is
 // of an unsupported version, or fails its checksum.
@@ -143,8 +140,8 @@ func Decode(src io.Reader, rebind *sod.Type) (*Wrapper, error) {
 	if err != nil || !strings.HasPrefix(fields[1], "v") {
 		return nil, fmt.Errorf("%w: malformed version %q", ErrFormat, fields[1])
 	}
-	if version < minFormatVersion || version > FormatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (supported: %d through %d)", ErrFormat, version, minFormatVersion, FormatVersion)
+	if version != FormatVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (supported: %d)", ErrFormat, version, FormatVersion)
 	}
 	wantSum, ok := strings.CutPrefix(fields[2], "sha256=")
 	if !ok {
@@ -190,23 +187,13 @@ func Decode(src io.Reader, rebind *sod.Type) (*Wrapper, error) {
 		w.SOD = rebind
 	}
 	if p.Template != nil {
-		var tab *symtab.Table
-		if version >= 2 {
-			tab, err = symtab.Restore(p.Symbols)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
+		tab, err := symtab.Restore(p.Symbols)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
 		tmpl, matches, err := template.Restore(p.Template, p.Matches, types, tab)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		if tab == nil {
-			// v1 stream: rebuild the wrapper-scoped table from the inline
-			// descriptor strings, in the same walk order Encode uses — a
-			// migrated wrapper re-saves to a canonical v2 stream.
-			tab = symtab.New()
-			template.InternDescs(tmpl, tab)
 		}
 		w.Template = tmpl
 		w.Matches = matches

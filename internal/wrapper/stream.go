@@ -77,16 +77,14 @@ func (w *Wrapper) extractStreamObserved(src string, ob *obs.Observer) []*sod.Ins
 	return objs
 }
 
-// ExtractStreamBatch applies the wrapper to every raw page concurrently
-// (bounded by the inference Config.Workers) and returns one object slice
-// per input page, in input order.
-func (w *Wrapper) ExtractStreamBatch(pages []string) [][]*sod.Instance {
-	out, _ := w.ExtractStreamBatchContext(context.Background(), pages)
-	return out
-}
-
-// ExtractStreamBatchContext is ExtractStreamBatch honoring cancellation:
-// the per-page fan-out stops dispatching once ctx is canceled, and the
+// ExtractStreamBatchContext applies the wrapper to every raw page
+// concurrently (bounded by the inference Config.Workers) and returns one
+// object slice per input page, in input order; each page streams or
+// falls back to the tree path on its own, as in ExtractStream.
+// Extraction is read-only on the wrapper — the template, matches and
+// block key are immutable after Infer — so pages are independent and the
+// batch output is byte-identical to calling ExtractPage(clean.Page(p))
+// in a loop. Once ctx is canceled no further page starts, and the
 // context error comes back with a nil slice.
 func (w *Wrapper) ExtractStreamBatchContext(ctx context.Context, pages []string) ([][]*sod.Instance, error) {
 	if ctx == nil {

@@ -126,15 +126,6 @@ type Wrapper struct {
 	tab *symtab.Table
 }
 
-// Workers returns the resolved worker-pool size the wrapper inherited
-// from its inference Config (at least 1).
-func (w *Wrapper) Workers() int {
-	if w == nil {
-		return 1
-	}
-	return parallel.Workers(w.workers)
-}
-
 // Score is the wrapper quality estimate in [0, 1]: 1 for a wrapper built
 // with no conflicting annotations, decaying with the conflict count.
 func (w *Wrapper) Score() float64 {
@@ -443,8 +434,8 @@ func (w *Wrapper) ExtractPage(page *dom.Node) []*sod.Instance {
 }
 
 // extractPageObserved is ExtractPage reporting to the given observer —
-// the wrapper's own for single-page calls, a worker-scoped one inside
-// ExtractBatch.
+// the wrapper's own for single-page calls, a worker-scoped one when a
+// streamed page of a batch falls back to the tree path.
 func (w *Wrapper) extractPageObserved(page *dom.Node, ob *obs.Observer) []*sod.Instance {
 	if w == nil || w.Aborted || w.Template == nil {
 		return nil
@@ -467,67 +458,12 @@ func (w *Wrapper) extractPageObserved(page *dom.Node, ob *obs.Observer) []*sod.I
 	return objs
 }
 
-// ExtractBatch applies the wrapper to every page concurrently (bounded
-// by the inference Config.Workers) and returns one object slice per
-// input page, in input order. Extraction is read-only on the wrapper —
-// the template, matches and block key are immutable after Infer — so
-// pages are independent and the batch output is byte-identical to
-// calling ExtractPage in a loop.
-func (w *Wrapper) ExtractBatch(pages []*dom.Node) [][]*sod.Instance {
-	out, _ := w.ExtractBatchContext(context.Background(), pages)
-	return out
-}
-
-// ExtractBatchContext is ExtractBatch honoring cancellation: the per-page
-// extraction fan-out stops dispatching once ctx is canceled, and the
-// context error comes back with a nil slice.
-func (w *Wrapper) ExtractBatchContext(ctx context.Context, pages []*dom.Node) ([][]*sod.Instance, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([][]*sod.Instance, len(pages))
-	if w == nil || w.Aborted || w.Template == nil || len(pages) == 0 {
-		return out, ctx.Err()
-	}
-	sp := w.obs.Span("pipeline.extract_batch",
-		obs.A("pages", len(pages)), obs.A("workers", parallel.Workers(w.workers)))
-	if err := parallel.ForEachObservedCtx(ctx, sp.Observer(), w.workers, len(pages), func(wob *obs.Observer, i int) {
-		out[i] = w.extractPageObserved(pages[i], wob)
-	}); err != nil {
-		sp.End(obs.A("canceled", true))
-		return nil, err
-	}
-	total := 0
-	for _, objs := range out {
-		total += len(objs)
-	}
-	sp.End(obs.A("objects", total))
-	return out, nil
-}
-
-// ExtractPages applies the wrapper to every page and returns the
-// concatenated objects, in page order. Per the paper, once the wrapper
-// is constructed this step is negligible in cost and needs no
-// annotations; it fans out across the configured workers.
-func (w *Wrapper) ExtractPages(pages []*dom.Node) []*sod.Instance {
-	var out []*sod.Instance
-	for _, objs := range w.ExtractBatch(pages) {
-		out = append(out, objs...)
-	}
-	return out
-}
-
-// EnrichDictionaries implements the dictionary-enrichment step (Eq. 4):
-// values extracted for isInstanceOf types are added to their dictionaries
-// with a confidence combining the wrapper score and the overlap between
-// the extracted set and the existing dictionary. It returns the number of
-// new entries added.
-func EnrichDictionaries(reg *recognize.Registry, s *sod.Type, objects []*sod.Instance, wrapperScore float64) int {
-	return EnrichDictionariesObserved(reg, s, objects, wrapperScore, nil)
-}
-
-// EnrichDictionariesObserved is EnrichDictionaries reporting each
-// accepted and rejected term (Eq. 4 accounting) to the observer.
+// EnrichDictionariesObserved implements the dictionary-enrichment step
+// (Eq. 4): values extracted for isInstanceOf types are added to their
+// dictionaries with a confidence combining the wrapper score and the
+// overlap between the extracted set and the existing dictionary. It
+// reports each accepted and rejected term to the observer (nil-safe)
+// and returns the number of new entries added.
 func EnrichDictionariesObserved(reg *recognize.Registry, s *sod.Type, objects []*sod.Instance, wrapperScore float64, ob *obs.Observer) int {
 	sp := ob.Span("pipeline.enrich", obs.A("objects", len(objects)), obs.A("wrapper_score", wrapperScore))
 	ob = sp.Observer()

@@ -74,6 +74,15 @@ func rotating(n int) func(i int) [][3]string {
 	}
 }
 
+// extractPages concatenates ExtractPage over the pages, in page order.
+func extractPages(w *Wrapper, pages []*dom.Node) []*sod.Instance {
+	var out []*sod.Instance
+	for _, p := range pages {
+		out = append(out, w.ExtractPage(p)...)
+	}
+	return out
+}
+
 func TestInferAndExtract(t *testing.T) {
 	recs, _ := concertRecs()
 	pages := site(6, rotating(2))
@@ -86,7 +95,7 @@ func TestInferAndExtract(t *testing.T) {
 	if len(w.Matches) == 0 {
 		t.Fatal("no matches")
 	}
-	objs := w.ExtractPages(pages)
+	objs := extractPages(w, pages)
 	want := 0
 	for i := 0; i < 6; i++ {
 		want += len(rotating(2)(i))
@@ -134,7 +143,7 @@ func TestSmallCorpusSampleClamp(t *testing.T) {
 			t.Errorf("pages=%d: inference aborted on a tiny but clean corpus: %s", pages, w.AbortReason)
 			continue
 		}
-		if objs := w.ExtractPages(ps); len(objs) == 0 {
+		if objs := extractPages(w, ps); len(objs) == 0 {
 			t.Errorf("pages=%d: no objects extracted", pages)
 		}
 	}
@@ -171,7 +180,7 @@ func TestRandomSampleMode(t *testing.T) {
 	if w.Aborted {
 		t.Fatalf("aborted: %s", w.AbortReason)
 	}
-	if len(w.ExtractPages(pages)) == 0 {
+	if len(extractPages(w, pages)) == 0 {
 		t.Error("random-sample wrapper extracted nothing")
 	}
 }
@@ -219,7 +228,7 @@ func TestEnrichDictionaries(t *testing.T) {
 	}
 	dict, _ := reg.Dictionary(sod.RecognizerRef{Kind: "instanceOf", Arg: "Artist"})
 	before := dict.Len()
-	added := EnrichDictionaries(reg, concertSOD(), objs, w.Score())
+	added := EnrichDictionariesObserved(reg, concertSOD(), objs, w.Score(), nil)
 	if added == 0 {
 		t.Fatal("no entries added")
 	}
@@ -230,7 +239,7 @@ func TestEnrichDictionaries(t *testing.T) {
 		t.Errorf("The Strokes not enriched (conf=%v ok=%v)", conf, ok)
 	}
 	// Enrichment is idempotent for known values.
-	if again := EnrichDictionaries(reg, concertSOD(), objs, w.Score()); again != 0 {
+	if again := EnrichDictionariesObserved(reg, concertSOD(), objs, w.Score(), nil); again != 0 {
 		t.Errorf("re-enrichment added %d entries", again)
 	}
 }

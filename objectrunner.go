@@ -21,7 +21,7 @@
 //		objectrunner.WithDictionary("Theater", theaters))
 //	...
 //	w, err := ex.Wrap(pages) // pages: []string of raw HTML
-//	objects, err := w.ExtractHTMLErr(newPage)
+//	perPage, err := w.ExtractStreamBatchContext(ctx, newPages)
 package objectrunner
 
 import (

@@ -13,10 +13,10 @@ func TestExtractErrSentinels(t *testing.T) {
 	if _, err := nilW.ExtractErr(nil); !errors.Is(err, ErrNoWrapper) {
 		t.Errorf("nil wrapper: err = %v, want ErrNoWrapper", err)
 	}
-	if _, err := (&Wrapper{}).ExtractHTMLErr("<html></html>"); !errors.Is(err, ErrNoWrapper) {
+	if _, err := (&Wrapper{}).ExtractErr(ParsePage("<html></html>")); !errors.Is(err, ErrNoWrapper) {
 		t.Errorf("empty wrapper: err = %v, want ErrNoWrapper", err)
 	}
-	if _, err := (&Wrapper{}).ExtractBatchErr([]string{"<html></html>"}); !errors.Is(err, ErrNoWrapper) {
+	if _, err := (&Wrapper{}).ExtractStreamBatchContext(context.Background(), []string{"<html></html>"}); !errors.Is(err, ErrNoWrapper) {
 		t.Errorf("batch on empty wrapper: err = %v, want ErrNoWrapper", err)
 	}
 
@@ -31,15 +31,18 @@ func TestExtractErrSentinels(t *testing.T) {
 	if _, err := aborted.ExtractErr(ParsePage("<html></html>")); !errors.Is(err, ErrAborted) {
 		t.Errorf("aborted wrapper: err = %v, want ErrAborted", err)
 	}
+	if _, err := aborted.ExtractStreamBatchContext(context.Background(), []string{"<html></html>"}); !errors.Is(err, ErrAborted) {
+		t.Errorf("batch on aborted wrapper: err = %v, want ErrAborted", err)
+	}
 	// The abort reason survives into the error text for humans.
 	if _, err := aborted.ExtractErr(nil); err == nil || !strings.Contains(err.Error(), "discarded") {
 		t.Errorf("abort error lost its reason: %v", err)
 	}
 }
 
-// TestExtractErrFormsAgree pins the *Err entry points to each other now
-// that the silent shims are gone: raw-HTML, parsed-page and batch
-// extraction of the same page must yield identical objects.
+// TestExtractErrFormsAgree pins the two public extract forms to each
+// other: parsed-page and raw-HTML batch extraction of the same page must
+// yield identical objects.
 func TestExtractErrFormsAgree(t *testing.T) {
 	ex := concertExtractor(t)
 	w, err := ex.Wrap(concertPages())
@@ -47,29 +50,27 @@ func TestExtractErrFormsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := concertPages()[1]
-	fromHTML, err := w.ExtractHTMLErr(page)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fromParsed, err := w.ExtractErr(ParsePage(page))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := w.ExtractBatchErr([]string{page})
+	if len(fromParsed) == 0 {
+		t.Fatal("ExtractErr found no objects on a training page")
+	}
+	batches, err := w.ExtractStreamBatchContext(context.Background(), []string{page})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batches) != 1 {
 		t.Fatalf("batch slots = %d, want 1", len(batches))
 	}
-	for name, got := range map[string][]*Object{"ExtractErr": fromParsed, "ExtractBatchErr": batches[0]} {
-		if len(got) != len(fromHTML) {
-			t.Fatalf("%s found %d objects, ExtractHTMLErr found %d", name, len(got), len(fromHTML))
-		}
-		for i := range got {
-			if got[i].String() != fromHTML[i].String() {
-				t.Errorf("%s object %d differs: %s vs %s", name, i, got[i], fromHTML[i])
-			}
+	got := batches[0]
+	if len(got) != len(fromParsed) {
+		t.Fatalf("ExtractStreamBatchContext found %d objects, ExtractErr found %d", len(got), len(fromParsed))
+	}
+	for i := range got {
+		if got[i].String() != fromParsed[i].String() {
+			t.Errorf("object %d differs: %s vs %s", i, got[i], fromParsed[i])
 		}
 	}
 }
@@ -124,7 +125,7 @@ func TestExtractBatchContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := w.ExtractBatchContext(ctx, concertPages()); !errors.Is(err, ErrCanceled) {
+	if _, err := w.ExtractStreamBatchContext(ctx, concertPages()); !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -152,7 +153,7 @@ func TestRunContextMatchesWrapExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := w.ExtractBatchContext(ctx, concertPages())
+	batches, err := w.ExtractStreamBatchContext(ctx, concertPages())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestPipelineEmitsAllStageSpans(t *testing.T) {
 		"pipeline.variation",
 		"pipeline.eqclass",
 		"pipeline.template",
-		"pipeline.extract",
+		"pipeline.extract_stream",
 		"pipeline.enrich",
 	}
 	got := map[string]bool{}
@@ -129,7 +129,7 @@ func TestAbortedWrapperIsSafe(t *testing.T) {
 	if w == nil {
 		t.Fatal("aborted Wrap must still return the wrapper for Report")
 	}
-	if _, err := w.ExtractBatchErr(concertPages()); !errors.Is(err, ErrAborted) {
+	if _, err := w.ExtractStreamBatchContext(context.Background(), concertPages()); !errors.Is(err, ErrAborted) {
 		t.Errorf("aborted wrapper batch err = %v, want ErrAborted", err)
 	}
 	if w.Score() != 0 || w.Support() != 0 {
@@ -176,7 +176,7 @@ func TestTraceSinkProducesJSONL(t *testing.T) {
 			seen[e.Name] = true
 		}
 	}
-	for _, n := range []string{"pipeline.clean", "pipeline.infer", "pipeline.extract"} {
+	for _, n := range []string{"pipeline.clean", "pipeline.infer", "pipeline.extract_stream"} {
 		if !seen[n] {
 			t.Errorf("trace missing span %q", n)
 		}

@@ -121,7 +121,7 @@ func TestExtractBatchPreservesInputOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := w.ExtractBatchErr(tc.pages)
+			got, err := w.ExtractStreamBatchContext(context.Background(), tc.pages)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,13 +129,13 @@ func TestExtractBatchPreservesInputOrder(t *testing.T) {
 				t.Fatalf("len = %d, want one slot per input page (%d)", len(got), len(tc.pages))
 			}
 			for i, p := range tc.pages {
-				seq, err := w.ExtractHTMLErr(p)
+				seq, err := w.ExtractErr(ParsePage(p))
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := fmt.Sprint(seq)
 				if fmt.Sprint(got[i]) != want {
-					t.Errorf("slot %d differs from sequential ExtractHTMLErr\nwant %s\ngot  %s",
+					t.Errorf("slot %d differs from sequential ExtractErr\nwant %s\ngot  %s",
 						i, want, fmt.Sprint(got[i]))
 				}
 			}
@@ -154,11 +154,11 @@ func TestExtractBatchAbortedAndNilWrapper(t *testing.T) {
 		t.Fatal("irrelevant source not discarded")
 	}
 	pages := concertPages()
-	if _, err := w.ExtractBatchErr(pages); !errors.Is(err, ErrAborted) {
+	if _, err := w.ExtractStreamBatchContext(context.Background(), pages); !errors.Is(err, ErrAborted) {
 		t.Errorf("aborted wrapper batch err = %v, want ErrAborted", err)
 	}
 	var nilW *Wrapper
-	if _, err := nilW.ExtractBatchErr(pages); !errors.Is(err, ErrNoWrapper) {
+	if _, err := nilW.ExtractStreamBatchContext(context.Background(), pages); !errors.Is(err, ErrNoWrapper) {
 		t.Errorf("nil wrapper batch err = %v, want ErrNoWrapper", err)
 	}
 }

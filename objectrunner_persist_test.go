@@ -2,20 +2,24 @@ package objectrunner
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"objectrunner/internal/wrapper"
 )
 
 // renderAll normalizes an extraction result for byte-level comparison:
 // one rendered object per line, in page order.
 func renderAll(t *testing.T, w *Wrapper, pages []string) string {
 	t.Helper()
-	per, err := w.ExtractBatchErr(pages)
+	per, err := w.ExtractStreamBatchContext(context.Background(), pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +105,77 @@ func TestSaveLoadAbortedWrapper(t *testing.T) {
 	}
 }
 
+// withPayload re-frames a wrapper stream around a new JSON payload, with
+// the header checksum recomputed so that the payload itself is what the
+// decoder judges.
+func withPayload(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return fmt.Sprintf("%s v%d sha256=%s\n%s", wrapper.FormatMagic, wrapper.FormatVersion, hex.EncodeToString(sum[:]), payload)
+}
+
+// editTemplate decodes the stream's payload into generic JSON, lets edit
+// rewrite the persisted template's node list, and re-frames the result.
+func editTemplate(tb testing.TB, stream string, edit func(nodes []any) []any) string {
+	tb.Helper()
+	var p map[string]any
+	if err := json.Unmarshal([]byte(stream[strings.IndexByte(stream, '\n')+1:]), &p); err != nil {
+		tb.Fatal(err)
+	}
+	tmpl, ok := p["template"].(map[string]any)
+	if !ok {
+		tb.Fatal("payload has no template")
+	}
+	tmpl["nodes"] = edit(tmpl["nodes"].([]any))
+	payload, err := json.Marshal(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return withPayload(payload)
+}
+
+// appendChild adds child to node id's child list.
+func appendChild(nodes []any, id int, child any) {
+	n := nodes[id].(map[string]any)
+	children, _ := n["children"].([]any)
+	n["children"] = append(children, child)
+}
+
+// badStreams derives malformed streams from a good one: wrong framing,
+// an unsupported version, a corrupted or truncated payload, and template
+// node graphs that are not trees. The running example's template is a
+// root (node 0) with one leaf child (node 1).
+func badStreams(tb testing.TB, good string) map[string]string {
+	tb.Helper()
+	return map[string]string{
+		"not a wrapper stream": "hello world\n{}",
+		"version mismatch":     strings.Replace(good, " v2 ", " v9 ", 1),
+		"v1 header":            strings.Replace(good, " v2 ", " v1 ", 1),
+		"corrupted payload":    good[:len(good)-2] + "xx",
+		"truncated payload":    good[:len(good)/2],
+		// A node listing itself as a child: re-encoding such a template
+		// recurses until the process dies of a stack overflow.
+		"self-child node": editTemplate(tb, good, func(nodes []any) []any {
+			appendChild(nodes, 0, 0)
+			return nodes
+		}),
+		// A copy of the leaf (node 2) listed by both node 0 and node 1.
+		"node with two parents": editTemplate(tb, good, func(nodes []any) []any {
+			leaf, err := json.Marshal(nodes[1])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var dup any
+			if err := json.Unmarshal(leaf, &dup); err != nil {
+				tb.Fatal(err)
+			}
+			nodes = append(nodes, dup)
+			appendChild(nodes, 0, 2)
+			appendChild(nodes, 1, 2)
+			return nodes
+		}),
+	}
+}
+
 func TestLoadRejectsBadStreams(t *testing.T) {
 	ex := concertExtractor(t)
 	w, err := ex.Wrap(concertPages())
@@ -111,104 +186,47 @@ func TestLoadRejectsBadStreams(t *testing.T) {
 	if err := w.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
-
-	cases := map[string]string{
-		"not a wrapper stream": "hello world\n{}",
-		"version mismatch":     strings.Replace(good, " v2 ", " v9 ", 1),
-		"corrupted payload":    good[:len(good)-2] + "xx",
-		"truncated payload":    good[:len(good)/2],
-	}
-	for name, stream := range cases {
+	for name, stream := range badStreams(t, buf.String()) {
 		if _, err := LoadWrapper(strings.NewReader(stream), ex); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
 }
 
-// TestLoadV1Stream: legacy v1 streams (inline descriptor strings, no
-// symbol list) still load, extract identically, and re-save to the
-// canonical v2 byte stream — the table rebuilt from a v1 template equals
-// the one inference produced because both intern in template walk order.
-func TestLoadV1Stream(t *testing.T) {
-	ex := concertExtractor(t)
-	pages := concertPages()
-	w, err := ex.Wrap(pages)
+// FuzzDecode feeds arbitrary JSON payloads, framed with a valid header
+// and checksum, to the wrapper decoder, with and without a live SOD to
+// re-bind. Decode must fail with an error or return a wrapper that
+// encodes again: a stream must never panic the process or send a later
+// Save into endless recursion.
+func FuzzDecode(f *testing.F) {
+	ex := concertExtractor(f)
+	w, err := ex.Wrap(concertPages())
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
 	good := buf.String()
-
-	// Down-convert the canonical v2 stream to its v1 form: resolve each
-	// descriptor's symbol ids back to inline strings and drop the symbol
-	// list, exactly what a v1 writer produced.
-	nl := strings.IndexByte(good, '\n')
-	var p map[string]any
-	if err := json.Unmarshal([]byte(good[nl+1:]), &p); err != nil {
-		t.Fatal(err)
-	}
-	syms, _ := p["symbols"].([]any)
-	resolve := func(v any) string {
-		id := int(v.(float64))
-		if id < 1 || id > len(syms) {
-			t.Fatalf("symbol id %d out of range [1, %d]", id, len(syms))
-		}
-		return syms[id-1].(string)
-	}
-	delete(p, "symbols")
-	tmpl, ok := p["template"].(map[string]any)
-	if !ok {
-		t.Fatal("v2 payload has no template")
-	}
-	for _, n := range tmpl["nodes"].([]any) {
-		eq := n.(map[string]any)["eq"].(map[string]any)
-		descs, _ := eq["descs"].([]any)
-		for _, d := range descs {
-			dm := d.(map[string]any)
-			if v, ok := dm["val"]; ok {
-				if s := resolve(v); s != "" {
-					dm["value"] = s
-				}
-				delete(dm, "val")
-			}
-			if v, ok := dm["pth"]; ok {
-				if s := resolve(v); s != "" {
-					dm["path"] = s
-				}
-				delete(dm, "pth")
-			}
+	f.Add(good[strings.IndexByte(good, '\n')+1:])
+	for _, stream := range badStreams(f, good) {
+		if nl := strings.IndexByte(stream, '\n'); nl >= 0 {
+			f.Add(stream[nl+1:])
 		}
 	}
-	v1payload, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(v1payload)
-	v1 := fmt.Sprintf("objectrunner-wrapper v1 sha256=%s\n%s", hex.EncodeToString(sum[:]), v1payload)
-
-	loaded, err := LoadWrapper(strings.NewReader(v1), ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unseen := `<html><body><li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div><div><span><a>Terminal 5</a></span><span>610 West 56th Street</span><span>New York City</span><span>New York</span><span>10019</span></div></li></body></html>`
-	probe := append(append([]string{}, pages...), unseen)
-	if got, want := renderAll(t, loaded, probe), renderAll(t, w, probe); got != want {
-		t.Errorf("v1-loaded wrapper extraction differs:\n got: %s\nwant: %s", got, want)
-	}
-	// Migration is canonicalizing: re-saving the v1-loaded wrapper emits
-	// the exact v2 bytes the original wrapper saved.
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != good {
-		t.Errorf("v1 -> load -> save is not the canonical v2 stream (%d vs %d bytes)",
-			buf2.Len(), len(good))
-	}
+	f.Fuzz(func(t *testing.T, payload string) {
+		stream := withPayload([]byte(payload))
+		for _, rebind := range []*SOD{nil, ex.SOD()} {
+			dw, err := wrapper.Decode(strings.NewReader(stream), rebind)
+			if err != nil {
+				continue
+			}
+			if err := dw.Encode(io.Discard); err != nil {
+				t.Errorf("decoded wrapper does not encode again: %v", err)
+			}
+		}
+	})
 }
 
 func TestLoadRejectsSODMismatch(t *testing.T) {

@@ -75,10 +75,7 @@ func TestWrapperGeneralizesToUnseenValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	unseen := `<html><body><li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div><div><span><a>Terminal 5</a></span><span>610 West 56th Street</span><span>New York City</span><span>New York</span><span>10019</span></div></li></body></html>`
-	objs, err := w.ExtractHTMLErr(unseen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	objs := extractAll(t, w, []string{unseen})
 	if len(objs) != 1 {
 		t.Fatalf("objects = %d", len(objs))
 	}
@@ -165,10 +162,7 @@ func TestEnrichFeedbackLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	unseen := `<html><body><li><div>Arcade Fire</div><div>Sunday July 4, 2010 7:30pm</div><div><span><a>Radio City</a></span><span>1260 Sixth Avenue</span><span>New York City</span><span>New York</span><span>10020</span></div></li></body></html>`
-	objs, err := w.ExtractHTMLErr(unseen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	objs := extractAll(t, w, []string{unseen})
 	if len(objs) != 1 {
 		t.Fatalf("objects = %d", len(objs))
 	}

@@ -29,13 +29,6 @@ type StoreConfig struct {
 	// SpillDir persists wrappers to disk, surviving LRU eviction and
 	// process restarts. Empty disables spilling.
 	SpillDir string
-	// DisableStreamExtract routes cache-hit serves through the tree
-	// path (parse + clean per page) instead of the default streaming
-	// path. Streaming extracts straight off the raw token stream with
-	// pooled scratch and is byte-identical to the tree path — pages it
-	// cannot faithfully reproduce fall back per page — so this exists
-	// as an escape hatch and for differential testing, not tuning.
-	DisableStreamExtract bool
 }
 
 // Service is the serving facade: an Extractor plus a wrapper cache. One
@@ -44,16 +37,14 @@ type StoreConfig struct {
 // callers), every later call reuses the cached wrapper and runs only
 // extraction.
 type Service struct {
-	ex     *Extractor
-	st     *store.Store
-	noStrm bool
+	ex *Extractor
+	st *store.Store
 }
 
 // NewService builds a serving facade over the extractor.
 func NewService(ex *Extractor, cfg StoreConfig) *Service {
 	return &Service{
-		ex:     ex,
-		noStrm: cfg.DisableStreamExtract,
+		ex: ex,
 		st: store.New(store.Config{
 			Capacity:        cfg.Capacity,
 			TTL:             cfg.TTL,
@@ -134,12 +125,7 @@ func (s *Service) ServeExtract(ctx context.Context, sourceKey string, pages []st
 		s.ex.obs.CountL("serve.errors", 1, src, obs.L("kind", errKind(err)))
 		return nil, err
 	}
-	var per [][]*Object
-	if s.noStrm {
-		per, err = w.ExtractBatchContext(ctx, pages)
-	} else {
-		per, err = w.ExtractStreamBatchContext(ctx, pages)
-	}
+	per, err := w.ExtractStreamBatchContext(ctx, pages)
 	if err != nil {
 		s.ex.obs.CountL("serve.errors", 1, src, obs.L("kind", errKind(err)))
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"objectrunner/internal/clean"
 	"objectrunner/internal/corpus"
 	"objectrunner/internal/obs"
 	"objectrunner/internal/recognize"
@@ -55,21 +56,25 @@ func TestStreamVsTreeSitegenDomains(t *testing.T) {
 			if inner.Aborted {
 				continue
 			}
+			w := &Wrapper{inner: inner}
+			tree := make([][]*Object, len(src.HTML))
+			for i, p := range src.HTML {
+				if tree[i], err = w.ExtractErr(ParsePage(p)); err != nil {
+					t.Fatalf("%s/%s page %d tree: %v", dd.Spec.Name, src.Spec.Name, i, err)
+				}
+			}
+			want := flattenBatchJSON(t, tree)
+			// Attached after the tree pass, so the counters below see only
+			// the streaming path's pages.
 			ob := obs.New()
 			inner.SetObserver(ob)
-			w := &Wrapper{inner: inner}
 			for _, workers := range []int{1, 2, 4, 8} {
 				inner.SetWorkers(workers)
-				tree, err := w.ExtractBatchContext(ctx, src.HTML)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d tree: %v", dd.Spec.Name, src.Spec.Name, workers, err)
-				}
 				stream, err := w.ExtractStreamBatchContext(ctx, src.HTML)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d stream: %v", dd.Spec.Name, src.Spec.Name, workers, err)
 				}
-				want, got := flattenBatchJSON(t, tree), flattenBatchJSON(t, stream)
-				if want != got {
+				if got := flattenBatchJSON(t, stream); want != got {
 					t.Errorf("%s/%s workers=%d: stream output diverges\ntree:   %s\nstream: %s",
 						dd.Spec.Name, src.Spec.Name, workers, want, got)
 				}
@@ -85,9 +90,24 @@ func TestStreamVsTreeSitegenDomains(t *testing.T) {
 	t.Logf("streamed %d pages, tree fallback on %d", streamed, fellBack)
 }
 
-// TestStreamVsTreeExtract drives the streaming serve path through edge
-// pages — entity-heavy text, kept raw-text tags, pages with nothing to
-// extract — against the tree oracle, wrapper-inferred from the paper's
+// streamEdgePages are edge pages for the streaming serve path —
+// entity-heavy text, kept raw-text tags, pages with nothing to extract —
+// relative to the paper's running example.
+var streamEdgePages = []struct {
+	name string
+	src  string
+}{
+	{"unseen_record", `<html><body><li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div><div><span><a>Terminal 5</a></span><span>610 West 56th Street</span><span>New York City</span><span>New York</span><span>10019</span></div></li></body></html>`},
+	{"entity_heavy", `<html><body><li><div>Simon &amp; Garfunkel</div><div>Monday May 11, 2010 8:00pm</div><div><span><a>Madison Square Garden</a></span><span>237 West 42nd Street &#8212; Floor 2</span><span>New York City</span><span>New York</span><span>10036</span></div></li></body></html>`},
+	{"raw_text_tag", `<html><head><title>Gigs &amp; Shows</title><script>var x = "<li><div>Fake</div></li>";</script></head><body><li><div>Metallica</div><div>Monday May 11, 2010 8:00pm</div><div><span><a>Madison Square Garden</a></span><span>237 West 42nd Street</span><span>New York City</span><span>New York</span><span>10036</span></div></li></body></html>`},
+	{"empty_page", ``},
+	{"no_records", `<html><body><p>no concerts this week</p></body></html>`},
+	{"missing_html_body", `<li><div>Muse</div><div>Friday June 19, 2010 7:00pm</div><div><span><a>B.B King Blues and Grill</a></span><span>4 Penn Plaza</span><span>New York City</span><span>New York</span><span>10001</span></div></li>`},
+	{"multi_record_messy", `<HTML><BODY><ul><li><div>Madonna</div><div>Saturday May 29, 2010 7:00pm</div><div><span><a>The Town Hall</a></span><span>131 W 55th Street</span><span>New York City</span><span>New York</span><span>10019</span></div><li><div>Coldplay</div><div>Saturday August 8, 2010 8:00pm</div><div><span><a>Bowery Ballroom</a></span><span>6 Delancey Street</span><span>New York City</span><span>New York</span><span>10002</span></div></ul></BODY></HTML>`},
+}
+
+// TestStreamVsTreeExtract drives the streaming serve path through the
+// edge pages against the tree oracle, wrapper-inferred from the paper's
 // running example. Runs under -race -count=2 in make check.
 func TestStreamVsTreeExtract(t *testing.T) {
 	ex := concertExtractor(t)
@@ -95,21 +115,9 @@ func TestStreamVsTreeExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"unseen_record", `<html><body><li><div>The Strokes</div><div>Friday July 2, 2010 9:00pm</div><div><span><a>Terminal 5</a></span><span>610 West 56th Street</span><span>New York City</span><span>New York</span><span>10019</span></div></li></body></html>`},
-		{"entity_heavy", `<html><body><li><div>Simon &amp; Garfunkel</div><div>Monday May 11, 2010 8:00pm</div><div><span><a>Madison Square Garden</a></span><span>237 West 42nd Street &#8212; Floor 2</span><span>New York City</span><span>New York</span><span>10036</span></div></li></body></html>`},
-		{"raw_text_tag", `<html><head><title>Gigs &amp; Shows</title><script>var x = "<li><div>Fake</div></li>";</script></head><body><li><div>Metallica</div><div>Monday May 11, 2010 8:00pm</div><div><span><a>Madison Square Garden</a></span><span>237 West 42nd Street</span><span>New York City</span><span>New York</span><span>10036</span></div></li></body></html>`},
-		{"empty_page", ``},
-		{"no_records", `<html><body><p>no concerts this week</p></body></html>`},
-		{"missing_html_body", `<li><div>Muse</div><div>Friday June 19, 2010 7:00pm</div><div><span><a>B.B King Blues and Grill</a></span><span>4 Penn Plaza</span><span>New York City</span><span>New York</span><span>10001</span></div></li>`},
-		{"multi_record_messy", `<HTML><BODY><ul><li><div>Madonna</div><div>Saturday May 29, 2010 7:00pm</div><div><span><a>The Town Hall</a></span><span>131 W 55th Street</span><span>New York City</span><span>New York</span><span>10019</span></div><li><div>Coldplay</div><div>Saturday August 8, 2010 8:00pm</div><div><span><a>Bowery Ballroom</a></span><span>6 Delancey Street</span><span>New York City</span><span>New York</span><span>10002</span></div></ul></BODY></HTML>`},
-	}
-	for _, tc := range cases {
+	for _, tc := range streamEdgePages {
 		t.Run(tc.name, func(t *testing.T) {
-			tree, err := w.ExtractHTMLErr(tc.src)
+			tree, err := w.ExtractErr(ParsePage(tc.src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,26 +134,60 @@ func TestStreamVsTreeExtract(t *testing.T) {
 	}
 }
 
-// TestServeExtractStreamParity proves the two serve configurations —
-// streaming on (the default) and off — answer identically through the
-// full Service facade, including cache warm-up.
+// TestServeExtractStreamParity proves that the full Service facade,
+// which serves from the streaming path, answers exactly what the tree
+// path extracts page by page with the same cached wrapper, including on
+// the cache-warming first call.
 func TestServeExtractStreamParity(t *testing.T) {
 	ctx := context.Background()
 	pages := concertPages()
-	streamSvc := NewService(concertExtractor(t), StoreConfig{})
-	treeSvc := NewService(concertExtractor(t), StoreConfig{DisableStreamExtract: true})
+	svc := NewService(concertExtractor(t), StoreConfig{})
 	for i := 0; i < 3; i++ { // first call infers, later calls hit the cache
-		got, err := streamSvc.ServeExtract(ctx, "concerts", pages)
+		got, err := svc.ServeExtract(ctx, "concerts", pages)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := treeSvc.ServeExtract(ctx, "concerts", pages)
+		w, err := svc.Wrapper(ctx, "concerts", pages)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, g := flattenBatchJSON(t, [][]*Object{want}), flattenBatchJSON(t, [][]*Object{got})
-		if w != g {
-			t.Fatalf("round %d: serve output diverges\ntree:   %s\nstream: %s", i, w, g)
+		var want []*Object
+		for _, p := range pages {
+			objs, err := w.ExtractErr(ParsePage(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, objs...)
+		}
+		wj, gj := flattenBatchJSON(t, [][]*Object{want}), flattenBatchJSON(t, [][]*Object{got})
+		if wj != gj {
+			t.Fatalf("round %d: serve output diverges\ntree:   %s\nstream: %s", i, wj, gj)
 		}
 	}
+}
+
+// FuzzStreamVsTree holds the streaming pass to "bail, don't diverge" on
+// any input: wrapper.ExtractStream of the running example's wrapper
+// must render exactly what the tree path, ExtractPage(clean.Page(src)),
+// renders. A divergence is fixed by making the stream pass bail, never
+// by loosening this comparison.
+func FuzzStreamVsTree(f *testing.F) {
+	for _, tc := range streamEdgePages {
+		f.Add(tc.src)
+	}
+	for _, p := range concertPages() {
+		f.Add(p)
+	}
+	w, err := concertExtractor(f).Wrap(concertPages())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tree := w.inner.ExtractPage(clean.Page(src))
+		stream := w.inner.ExtractStream(src)
+		want := flattenBatchJSON(t, [][]*Object{tree})
+		if got := flattenBatchJSON(t, [][]*Object{stream}); got != want {
+			t.Errorf("stream output diverges\ntree:   %s\nstream: %s", want, got)
+		}
+	})
 }
