@@ -49,8 +49,11 @@ check: ci
 
 # fuzz runs each fuzz target for a fixed 20 s: the stream-vs-tree
 # differential (the stream pass bails or matches the tree path on any
-# input) and the wrapper decoder (an error, or a wrapper that encodes
-# again). go test fuzzes one target per run. Minimizing each new
+# input), the wrapper decoder (an error, or a wrapper that encodes
+# again), the daemon's POST /v1/extract request decoder (the same
+# request or the same error text as encoding/json) and its response
+# string escaping (the same bytes as json.Marshal). go test fuzzes one
+# target per run. Minimizing each new
 # input is capped at 1 s: FuzzDecode's inputs are whole wrapper payloads,
 # and at the default cap minimization took most of the 20 s. A failing
 # input is written under testdata/fuzz/<Target>/, where every plain
@@ -58,6 +61,8 @@ check: ci
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsTree$$' -fuzztime 20s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeExtractRequest$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/httpserver/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime 20s -fuzzminimizetime 1s .
 
 # orbench-check builds, vets and unit-tests the end-to-end benchmark
 # (bench/orbench). It is a module of its own, so `go build ./...` and
@@ -68,7 +73,8 @@ orbench-check:
 
 # bench runs every benchmark and additionally records the parallel
 # scaling run (BENCH_parallel.json), the serving-cache economics — cold
-# wrap vs cache hit vs disk load — (BENCH_serve.json), and the cold
+# wrap vs cache hit vs disk load — and the daemon's in-process extract
+# handler (BENCH_serve.json), and the cold
 # inference allocation profile (BENCH_alloc.json) as JSON for the perf
 # trajectory. Each JSON file is written to a temp path and renamed only
 # on success, so a failed run never truncates the previous record.
@@ -76,7 +82,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchmem -run XXX . > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
@@ -88,13 +94,14 @@ bench:
 bench-smoke:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=1x -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=1x -benchmem -run XXX . > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=1x -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-guard is the perf regression gate: it re-records the parallel
-# scaling, serving-cache and cold-inference allocation benchmarks
+# scaling, serving (cache and HTTP handler) and cold-inference
+# allocation benchmarks
 # (tmp+rename, like bench) and compares them against the committed
 # baselines under bench/baseline/ with cmd/benchguard, failing on any
 # >20% ns/op regression (or a vanished benchmark). A fixed iteration budget repeated GUARD_COUNT
@@ -116,7 +123,7 @@ GUARD_ALLOC_TOLERANCE ?= 0
 bench-guard:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
@@ -131,7 +138,7 @@ bench-guard:
 bench-baseline:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
-	$(GO) test -json -bench='^BenchmarkServeCache$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
 	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp
 	mv bench/baseline/BENCH_alloc.json.tmp bench/baseline/BENCH_alloc.json

@@ -75,7 +75,10 @@ type ExtractRequest struct {
 }
 
 // ExtractResponse carries the flattened objects, one map per object,
-// in page order.
+// in page order. The daemon writes it with
+// objectrunner.AppendExtractResponse rather than encoding/json; a test
+// pins the two byte-identical, so a field added here must be added
+// there too.
 type ExtractResponse struct {
 	Source  string           `json:"source"`
 	Pages   int              `json:"pages"`

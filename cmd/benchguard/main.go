@@ -13,7 +13,9 @@
 // stream carries several results for one benchmark (-count > 1), the
 // minimum of each measure is kept — the fastest observed run is the
 // least noisy estimate of what the code can do, which is the right
-// basis on loaded CI runners.
+// basis on loaded CI runners. With several repeats the table also
+// prints each fresh benchmark's min–max of ns/op and allocs/op beside
+// the gated minimum; the spread is never gated.
 //
 // Usage:
 //
@@ -58,11 +60,16 @@ var (
 )
 
 // result is the per-benchmark record the guard compares: minimum ns/op
-// across repeats, and minimum allocs/op where -benchmem was on.
+// across repeats, and minimum allocs/op where -benchmem was on. The
+// maxima and the repeat count are only printed, as the spread beside
+// the gated minimum.
 type result struct {
 	ns        float64
 	allocs    float64
 	hasAllocs bool
+
+	nsMax, allocsMax float64
+	runs             int
 }
 
 // testEvent is the subset of the `go test -json` event stream we read.
@@ -86,12 +93,15 @@ func parseStream(r io.Reader, label string) (map[string]result, error) {
 		if !seen || ns < cur.ns {
 			cur.ns = ns
 		}
+		cur.nsMax = max(cur.nsMax, ns)
+		cur.runs++
 		if m := allocsPart.FindStringSubmatch(tail); m != nil {
 			if al, err := strconv.ParseFloat(m[1], 64); err == nil {
 				if !cur.hasAllocs || al < cur.allocs {
 					cur.allocs = al
 					cur.hasAllocs = true
 				}
+				cur.allocsMax = max(cur.allocsMax, al)
 			}
 		}
 		out[name] = cur
@@ -165,6 +175,20 @@ func human(ns float64) string {
 	}
 }
 
+// spread describes a fresh result's repeats: the min–max of ns/op and
+// of allocs/op, so a one-run flake reads differently from a shift of
+// every run. Empty for a single run.
+func spread(r result) string {
+	if r.runs < 2 {
+		return ""
+	}
+	s := fmt.Sprintf("  [%d runs: %s–%s", r.runs, human(r.ns), human(r.nsMax))
+	if r.hasAllocs {
+		s += fmt.Sprintf(", allocs %.0f–%.0f", r.allocs, r.allocsMax)
+	}
+	return s + "]"
+}
+
 // comparePair prints the diff table for one baseline:fresh pair and
 // reports whether anything regressed past the tolerances.
 func comparePair(w io.Writer, basePath, freshPath string, base, fresh map[string]result, tolerance, allocTolerance float64) (failed bool) {
@@ -205,12 +229,12 @@ func comparePair(w io.Writer, basePath, freshPath string, base, fresh map[string
 				alloc = fmt.Sprintf("  allocs %.0f → %.0f", b.allocs, f.allocs)
 			}
 		}
-		fmt.Fprintf(w, "  %s %-50s baseline %10s  fresh %10s  %+6.1f%%%s\n",
-			verdict, name, human(b.ns), human(f.ns), delta, alloc)
+		fmt.Fprintf(w, "  %s %-50s baseline %10s  fresh %10s  %+6.1f%%%s%s\n",
+			verdict, name, human(b.ns), human(f.ns), delta, alloc, spread(f))
 	}
 	for name, f := range fresh {
 		if _, ok := base[name]; !ok {
-			fmt.Fprintf(w, "  new  %-50s fresh %10s (not in baseline; add via `make bench-baseline`)\n", name, human(f.ns))
+			fmt.Fprintf(w, "  new  %-50s fresh %10s%s (not in baseline; add via `make bench-baseline`)\n", name, human(f.ns), spread(f))
 		}
 	}
 	return failed

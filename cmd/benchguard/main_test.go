@@ -183,3 +183,44 @@ func TestCompareNoAllocsInBaseline(t *testing.T) {
 		t.Fatalf("alloc gate fired without baseline allocs\n%s", sb.String())
 	}
 }
+
+// TestSpreadPrinted: with several repeats the table shows each fresh
+// benchmark's min–max of ns/op and allocs/op beside the gated minimum
+// (a one-alloc flake in one run reads as "3962–3963"), and the gate
+// still uses the minimum.
+func TestSpreadPrinted(t *testing.T) {
+	stream := strings.Join([]string{
+		ev("BenchmarkServeCache/cold_wrap-1 \t\n"),
+		ev("      20\t   1761548 ns/op\t  870878 B/op\t    3963 allocs/op\n"),
+		ev("BenchmarkServeCache/cold_wrap-1 \t\n"),
+		ev("      20\t   1682887 ns/op\t  870888 B/op\t    3962 allocs/op\n"),
+		ev("BenchmarkServeCache/cold_wrap-1 \t\n"),
+		ev("      20\t   1714495 ns/op\t  870892 B/op\t    3963 allocs/op\n"),
+		ev("BenchmarkOnce-1   10\t 100 ns/op\t 5 allocs/op\n"),
+	}, "\n")
+	fresh, err := parseStream(strings.NewReader(stream), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fresh["BenchmarkServeCache/cold_wrap"]
+	if r.runs != 3 || r.ns != 1682887 || r.nsMax != 1761548 || r.allocs != 3962 || r.allocsMax != 3963 {
+		t.Fatalf("result = %+v", r)
+	}
+	base := map[string]result{
+		"BenchmarkServeCache/cold_wrap": {ns: 1682887, allocs: 3962, hasAllocs: true},
+		"BenchmarkOnce":                 {ns: 100, allocs: 5, hasAllocs: true},
+	}
+	var sb strings.Builder
+	if comparePair(&sb, "b", "f", base, fresh, 0.2, 0) {
+		t.Fatalf("gate failed on its minima\n%s", sb.String())
+	}
+	out := sb.String()
+	if !strings.Contains(out, "[3 runs: 1.683ms–1.762ms, allocs 3962–3963]") {
+		t.Errorf("no spread for the repeated benchmark:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "BenchmarkOnce") && strings.Contains(line, "runs") {
+			t.Errorf("spread printed for a single run: %q", line)
+		}
+	}
+}

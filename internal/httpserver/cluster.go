@@ -1,7 +1,6 @@
 package httpserver
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"strings"
@@ -29,10 +28,11 @@ import (
 //     (an extract for a source it has no registration for).
 
 // routeToOwner applies the routing decision for a request on the source
-// key. handled means the response was already written (the owner's reply
-// was relayed, or an error was sent); fallback means the owner could not
-// serve and the caller should serve locally as best it can.
-func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, key, path string, req any) (handled, fallback bool) {
+// key, forwarding the request body the handler read verbatim. handled
+// means the owner's reply was relayed to the client; fallback means the
+// owner could not serve and the caller should serve locally as best it
+// can.
+func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, key, path string, body []byte) (handled, fallback bool) {
 	if s.cluster == nil {
 		return false, false
 	}
@@ -44,11 +44,6 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, key, path 
 		return false, false
 	}
 	owner := s.cluster.Owner(key)
-	body, err := json.Marshal(req)
-	if err != nil {
-		s.errorf(w, http.StatusInternalServerError, "re-encode forwarded request: %v", err)
-		return true, false
-	}
 	// The instrument middleware already echoed the request's trace id
 	// into the response headers; propagate the same id to the owner.
 	res, err := s.fwd.Forward(r.Context(), owner, http.MethodPost, path, body, w.Header().Get("X-Trace-Id"))

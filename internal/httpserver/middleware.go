@@ -3,7 +3,6 @@ package httpserver
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -168,24 +167,6 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		}()
 		h(w, r)
 	}
-}
-
-// decode parses the JSON request body into dst, answering 400 on bad
-// JSON and 413 when the body limit was hit. It reports whether the
-// handler should proceed.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			s.errorf(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", maxErr.Limit)
-			return false
-		}
-		s.errorf(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return false
-	}
-	return true
 }
 
 func (s *Server) errorf(w http.ResponseWriter, status int, format string, args ...any) {

@@ -36,7 +36,9 @@
 package httpserver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -348,8 +350,13 @@ func (s *Server) lookup(key string) *source {
 }
 
 func (s *Server) handleWrap(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req apiv1.WrapRequest
-	if !s.decode(w, r, &req) {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		s.errorf(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
 	if req.Source == "" || req.SOD == "" || len(req.Pages) == 0 {
@@ -358,7 +365,7 @@ func (s *Server) handleWrap(w http.ResponseWriter, r *http.Request) {
 	}
 	// Wrap is always locally servable on fallback: the payload carries
 	// the full registration (SOD, dictionaries, pages).
-	if handled, _ := s.routeToOwner(w, r, req.Source, "/v1/wrap", &req); handled {
+	if handled, _ := s.routeToOwner(w, r, req.Source, "/v1/wrap", body); handled {
 		return
 	}
 	src, err := s.register(&req)
@@ -390,15 +397,20 @@ func (s *Server) handleWrap(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req apiv1.ExtractRequest
-	if !s.decode(w, r, &req) {
+	if err := decodeExtractRequest(body, &req); err != nil {
+		s.errorf(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
 	if req.Source == "" || len(req.Pages) == 0 {
 		s.errorf(w, http.StatusBadRequest, "source and pages are required")
 		return
 	}
-	handled, fallback := s.routeToOwner(w, r, req.Source, "/v1/extract", &req)
+	handled, fallback := s.routeToOwner(w, r, req.Source, "/v1/extract", body)
 	if handled {
 		return
 	}
@@ -426,13 +438,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.serveError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, apiv1.ExtractResponse{
-		Source:  req.Source,
-		Pages:   len(req.Pages),
-		Count:   len(objs),
-		Objects: objectrunner.FlattenObjects(objs),
-		Node:    s.nodeID,
-	})
+	writeBody(w, objectrunner.AppendExtractResponse(nil, req.Source, len(req.Pages), objs, s.nodeID))
 }
 
 func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {

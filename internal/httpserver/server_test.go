@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"objectrunner"
 	apiv1 "objectrunner/api/v1"
+	"objectrunner/internal/cluster"
 	"objectrunner/internal/obs"
 )
 
@@ -141,6 +143,50 @@ func TestWrapExtractRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExtractResponseBytes: the extract answer is byte for byte what
+// encoding/json writes for apiv1.ExtractResponse over FlattenObjects —
+// with objects and with none, without a node id and in a (one-node)
+// cluster where the node id is set — and carries its Content-Length.
+func TestExtractResponseBytes(t *testing.T) {
+	svc := concertService(t)
+	self, err := cluster.New("n1", []cluster.Node{{ID: "n1"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{}, {Cluster: self}} {
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		wrapConcerts(t, ts.URL, "concerts")
+		for _, pages := range [][]string{concertPages(), {"<html><body><p>no concerts this week</p></body></html>"}} {
+			resp := postJSON(t, ts.URL+"/v1/extract", apiv1.ExtractRequest{Source: "concerts", Pages: pages})
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs, err := svc.ServeExtract(context.Background(), "concerts", pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(apiv1.ExtractResponse{
+				Source: "concerts", Pages: len(pages), Count: len(objs),
+				Objects: objectrunner.FlattenObjects(objs), Node: srv.nodeID,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("node %q, %d objects: response differs from encoding/json\n got: %s\nwant: %s",
+					srv.nodeID, len(objs), got, want.Bytes())
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+				t.Errorf("Content-Length = %q for a %d-byte body", cl, len(got))
+			}
+		}
+		ts.Close()
+	}
+}
+
 func TestWrapReuseAndReplace(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -207,6 +253,91 @@ func TestWrapValidation(t *testing.T) {
 	}
 }
 
+// extractEdge is one POST /v1/extract body of the edge table: the
+// answer it gets once "concerts" is registered (status, and for a 400
+// the error text), and whether the one-pass decoder takes it (fast) or
+// bails to encoding/json. TestExtractValidation serves the table,
+// TestScanExtractRequestBailRule checks its fast column, and it seeds
+// FuzzDecodeExtractRequest.
+type extractEdge struct {
+	name   string
+	body   string
+	status int
+	err    string
+	fast   bool
+}
+
+func extractEdges() []extractEdge {
+	pb, err := json.Marshal(concertPages()[0])
+	if err != nil {
+		panic(err)
+	}
+	page := string(pb)
+	bad := func(name, body, msg string, fast bool) extractEdge {
+		return extractEdge{name, body, http.StatusBadRequest, msg, fast}
+	}
+	ok := func(name, body string, fast bool) extractEdge {
+		return extractEdge{name, body, http.StatusOK, "", fast}
+	}
+	deep := strings.Repeat("[", 20000) + strings.Repeat("]", 20000)
+	const required = "source and pages are required"
+	return []extractEdge{
+		bad("bad json", `{"source": `, "bad JSON: unexpected EOF", false),
+		bad("empty body", ``, "bad JSON: EOF", false),
+		bad("missing fields", `{"source": "concerts"}`, required, true),
+		bad("empty object", ` {} `, required, true),
+		bad("no pages", `{"source":"concerts","pages":[]}`, required, true),
+		bad("top-level null", `null`, required, false),
+		bad("null source", `{"source":null,"pages":[`+page+`]}`, required, false),
+		bad("page not a string", `{"source":"concerts","pages":[1]}`,
+			"bad JSON: json: cannot unmarshal number into Go struct field ExtractRequest.pages of type string", false),
+		bad("control character", "{\"source\":\"con\ncerts\",\"pages\":[]}",
+			`bad JSON: invalid character '\n' in string literal`, false),
+		bad("bad escape", `{"source":"con\certs","pages":[]}`,
+			`bad JSON: invalid character 'c' in string escape code`, false),
+		bad("unknown field nested 20000 deep", `{"source":"concerts","pages":[`+page+`],"x":`+deep+`}`,
+			"bad JSON: invalid character '[' exceeded max depth", false),
+		ok("canonical", `{"source":"concerts","pages":[`+page+`]}`, true),
+		ok("python style", "{\"source\": \"concerts\",\r\n \"pages\": [ "+page+" , "+page+" ]}", true),
+		ok("pages first", `{"pages":[`+page+`],"source":"concerts"}`, true),
+		ok("escaped text", `{"source":"concerts","pages":["<p>caf\u00e9 \ud83d\ude00 \u2028 \/ \"q\" \\ \b\f\n\r\t \u0000</p>"]}`, true),
+		ok("trailing bytes", `{"source":"concerts","pages":[`+page+`]} trailing`, true),
+		ok("unknown field", `{"source":"concerts","pages":[`+page+`],"extra":{"a":[1,null]}}`, false),
+		ok("duplicate pages", `{"source":"concerts","pages":[],"pages":[`+page+`]}`, false),
+		ok("key Pages", `{"source":"concerts","Pages":[`+page+`]}`, false),
+		ok("escaped key", `{"sour\u0063e":"concerts","pages":[`+page+`]}`, false),
+		ok("lone surrogate", `{"source":"concerts","pages":["<p>\ud800</p>"]}`, false),
+		ok("reversed surrogates", `{"source":"concerts","pages":["<p>\ude00\ud83d</p>"]}`, false),
+		ok("invalid UTF-8", "{\"source\":\"concerts\",\"pages\":[\"<p>\xff</p>\"]}", false),
+	}
+}
+
+// TestExtractValidation serves the edge table: what the one-pass decoder
+// bails on, encoding/json decides, with its own error texts.
+func TestExtractValidation(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wrapConcerts(t, ts.URL, "concerts")
+
+	for _, tc := range extractEdges() {
+		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if tc.status == http.StatusBadRequest {
+			if er := decodeBody[apiv1.Error](t, resp); er.Error != tc.err {
+				t.Errorf("%s: error = %q, want %q", tc.name, er.Error, tc.err)
+			}
+			continue
+		}
+		resp.Body.Close()
+	}
+}
+
 func TestWrapAbortedSourceIs422(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -231,13 +362,31 @@ func TestBodyLimit(t *testing.T) {
 	srv := New(Config{MaxBodyBytes: 256})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp := postJSON(t, ts.URL+"/v1/wrap", apiv1.WrapRequest{
-		Source: "concerts", SOD: concertSOD, Pages: concertPages(),
-	})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("status = %d, want 413", resp.StatusCode)
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	resp.Body.Close()
+	for _, tc := range []struct{ name, path, body string }{
+		{"wrap", "/v1/wrap", marshal(apiv1.WrapRequest{
+			Source: "concerts", SOD: concertSOD, Pages: concertPages(),
+		})},
+		{"extract", "/v1/extract", marshal(apiv1.ExtractRequest{Source: "concerts", Pages: concertPages()})},
+		// The body is read whole before it is decoded, so a request that
+		// ends before the limit but is padded past it is refused too.
+		{"extract padded", "/v1/extract", `{"source":"concerts","pages":["<p>x</p>"]}` + strings.Repeat(" ", 300)},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", tc.name, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
 }
 
 func TestBackpressure429(t *testing.T) {

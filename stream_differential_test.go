@@ -35,7 +35,8 @@ func flattenBatchJSON(tb testing.TB, per [][]*Object) string {
 // page) is the reference oracle; the streaming path must flatten
 // byte-identically on every page. It also proves the fused tokenizer
 // carries real coverage — if every page bailed to the tree fallback the
-// comparison would be vacuous.
+// comparison would be vacuous. Each source's objects, all pages in one
+// response, also pin the daemon's AppendExtractResponse to encoding/json.
 func TestStreamVsTreeSitegenDomains(t *testing.T) {
 	cfg := sitegen.DefaultConfig()
 	cfg.PagesPerSource = 6
@@ -64,6 +65,11 @@ func TestStreamVsTreeSitegenDomains(t *testing.T) {
 				}
 			}
 			want := flattenBatchJSON(t, tree)
+			var all []*Object
+			for _, objs := range tree {
+				all = append(all, objs...)
+			}
+			checkAppendExtractResponse(t, dd.Spec.Name+"/"+src.Spec.Name, len(src.HTML), all)
 			// Attached after the tree pass, so the counters below see only
 			// the streaming path's pages.
 			ob := obs.New()
