@@ -48,18 +48,21 @@ check: ci
 	$(GO) test -race -count=10 -run 'TestBaseAnalyzeConcurrentMatchesSequential' ./internal/eqclass/
 
 # fuzz runs each fuzz target for a fixed 20 s: the stream-vs-tree
-# differential (the stream pass bails or matches the tree path on any
-# input), the wrapper decoder (an error, or a wrapper that encodes
-# again), the daemon's POST /v1/extract request decoder (the same
-# request or the same error text as encoding/json) and its response
-# string escaping (the same bytes as json.Marshal). go test fuzzes one
-# target per run. Minimizing each new
+# differentials (the stream pass bails or matches the tree path on any
+# input, in extracted objects and in tokens), the cleaned-tree builder
+# (a well-formed tree with nothing cleaning removes), the wrapper
+# decoder (an error, or a wrapper that encodes again), the daemon's POST
+# /v1/extract request decoder (the same request or the same error text
+# as encoding/json) and its response string escaping (the same bytes as
+# json.Marshal). go test fuzzes one target per run. Minimizing each new
 # input is capped at 1 s: FuzzDecode's inputs are whole wrapper payloads,
 # and at the default cap minimization took most of the 20 s. A failing
 # input is written under testdata/fuzz/<Target>/, where every plain
 # go test replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamVsTree$$' -fuzztime 20s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamTokens$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/eqclass/
+	$(GO) test -run '^$$' -fuzz '^FuzzCleanPage$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/clean/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeExtractRequest$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/httpserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime 20s -fuzzminimizetime 1s .
@@ -74,8 +77,8 @@ orbench-check:
 # bench runs every benchmark and additionally records the parallel
 # scaling run (BENCH_parallel.json), the serving-cache economics — cold
 # wrap vs cache hit vs disk load — and the daemon's in-process extract
-# handler (BENCH_serve.json), and the cold
-# inference allocation profile (BENCH_alloc.json) as JSON for the perf
+# handler (BENCH_serve.json), and the allocation profiles of cold
+# inference and of cleaning one page (BENCH_alloc.json) as JSON for the perf
 # trajectory. Each JSON file is written to a temp path and renamed only
 # on success, so a failed run never truncates the previous record.
 bench:
@@ -84,7 +87,7 @@ bench:
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
-	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchmem -run XXX . > BENCH_alloc.json.tmp
+	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-smoke runs the recorded benchmarks once each (-benchtime=1x)
@@ -96,12 +99,12 @@ bench-smoke:
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
-	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=1x -benchmem -run XXX . > BENCH_alloc.json.tmp
+	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=1x -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-guard is the perf regression gate: it re-records the parallel
-# scaling, serving (cache and HTTP handler) and cold-inference
-# allocation benchmarks
+# scaling, serving (cache and HTTP handler), cold-inference and
+# page-cleaning allocation benchmarks
 # (tmp+rename, like bench) and compares them against the committed
 # baselines under bench/baseline/ with cmd/benchguard, failing on any
 # >20% ns/op regression (or a vanished benchmark). A fixed iteration budget repeated GUARD_COUNT
@@ -125,7 +128,7 @@ bench-guard:
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
-	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
+	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 	$(GO) run ./cmd/benchguard -tolerance $(GUARD_TOLERANCE) -alloc-tolerance $(GUARD_ALLOC_TOLERANCE) \
 		bench/baseline/BENCH_parallel.json:BENCH_parallel.json \
@@ -140,7 +143,7 @@ bench-baseline:
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
-	$(GO) test -json -bench='^BenchmarkInferAllocs$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp
+	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp
 	mv bench/baseline/BENCH_alloc.json.tmp bench/baseline/BENCH_alloc.json
 
 # profile regenerates the committed wrap-path CPU profile

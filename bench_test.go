@@ -489,12 +489,12 @@ func BenchmarkPublicAPIRun(b *testing.B) {
 	}
 }
 
-// BenchmarkDOMOps measures raw DOM construction and traversal.
+// BenchmarkDOMOps measures building a cleaned tree and walking it.
 func BenchmarkDOMOps(b *testing.B) {
 	html := benchSourceHTML(b)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc := dom.Parse(html)
+		doc := clean.Page(html)
 		n := 0
 		doc.Walk(func(*dom.Node) bool { n++; return true })
 		if n == 0 {

@@ -6,12 +6,15 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"objectrunner/internal/clean"
 	"objectrunner/internal/corpus"
+	"objectrunner/internal/dom"
 	"objectrunner/internal/recognize"
 	"objectrunner/internal/sitegen"
 	"objectrunner/internal/wrapper"
@@ -77,33 +80,82 @@ func TestGoldenFingerprint(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s\n", sums[0], name)
 		}
 	}
+	checkGolden(t, goldenFingerprint, got.Bytes())
+}
+
+const goldenClean = "testdata/golden/clean.txt"
+
+// TestGoldenCleanTrees pins the cleaned trees themselves, which no
+// extracted object has to expose: for every source of the default
+// generated benchmark, junk pages included, the sha256 of a structural
+// dump of clean.Page over each page — per node in document order its
+// depth, type, tag, attributes in order and text. Re-baselined with the
+// same -update flag as TestGoldenFingerprint.
+func TestGoldenCleanTrees(t *testing.T) {
+	b, err := sitegen.Generate(sitegen.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	got.WriteString("# sha256(structural dump of clean.Page over every page) per source; go test -run TestGoldenCleanTrees . -update\n")
+	for _, dd := range b.Domains {
+		for _, src := range dd.Sources {
+			h := sha256.New()
+			for pi, html := range src.HTML {
+				fmt.Fprintf(h, "page %d\n", pi)
+				dumpTree(h, clean.Page(html), 0)
+			}
+			fmt.Fprintf(&got, "%x %s/%s\n", h.Sum(nil), dd.Spec.Name, src.Spec.Name)
+		}
+	}
+	checkGolden(t, goldenClean, got.Bytes())
+}
+
+// dumpTree writes one line per node of the subtree rooted at n: depth,
+// node type, tag or text, and the attributes in order.
+func dumpTree(w io.Writer, n *dom.Node, depth int) {
+	fmt.Fprintf(w, "%d %s %q", depth, n.Type, n.Data)
+	for _, a := range n.Attrs {
+		fmt.Fprintf(w, " %q=%q", a.Name, a.Value)
+	}
+	fmt.Fprintln(w)
+	for _, c := range n.Children {
+		dumpTree(w, c, depth+1)
+	}
+}
+
+// checkGolden compares got with the committed golden file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenFingerprint), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenFingerprint, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenFingerprint)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (record it with -update)", err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
 	wantLines := strings.Split(string(want), "\n")
-	for i, line := range strings.Split(got.String(), "\n") {
+	gotLines := strings.Split(string(got), "\n")
+	for i, line := range gotLines {
 		if i >= len(wantLines) || line != wantLines[i] {
 			w := ""
 			if i < len(wantLines) {
 				w = wantLines[i]
 			}
-			t.Errorf("fingerprint line %d:\n got  %s\n want %s", i+1, line, w)
+			t.Errorf("%s line %d:\n got  %s\n want %s", path, i+1, line, w)
 		}
 	}
-	if n := len(strings.Split(got.String(), "\n")); n < len(wantLines) {
-		t.Errorf("fingerprint has %d lines, golden has %d", n, len(wantLines))
+	if len(gotLines) < len(wantLines) {
+		t.Errorf("%s: got %d lines, golden has %d", path, len(gotLines), len(wantLines))
 	}
 }

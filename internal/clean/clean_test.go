@@ -98,33 +98,6 @@ func TestCleanNormalizesSpace(t *testing.T) {
 	}
 }
 
-func TestCleanKeepAttrs(t *testing.T) {
-	opts := DefaultOptions()
-	opts.KeepAttrs = []string{"class"}
-	doc := Clean(dom.Parse(`<body><div class="a" onclick="x()" data-id="9">t</div></body>`), opts)
-	div := doc.FindOne("div")
-	if _, ok := div.Attr("onclick"); ok {
-		t.Error("onclick kept")
-	}
-	if _, ok := div.Attr("data-id"); ok {
-		t.Error("data-id kept")
-	}
-	if v, _ := div.Attr("class"); v != "a" {
-		t.Error("class lost")
-	}
-}
-
-func TestCleanZeroOptionsIsNoop(t *testing.T) {
-	src := `<body><script>x</script><!--c--><div style="display:none">h</div></body>`
-	doc := Clean(dom.Parse(src), Options{})
-	if doc.FindOne("script") == nil {
-		t.Error("zero options removed script")
-	}
-	if len(doc.Find("div")) != 1 {
-		t.Error("zero options removed hidden div")
-	}
-}
-
 func TestCleanRealisticPage(t *testing.T) {
 	src := `<!DOCTYPE html><html><head><title>Concerts</title>
 	<meta charset="utf-8"><link rel="stylesheet" href="s.css">
@@ -147,4 +120,54 @@ func TestCleanRealisticPage(t *testing.T) {
 	if strings.Contains(doc.OuterHTML(), "track()") {
 		t.Error("script content survived")
 	}
+}
+
+// FuzzCleanPage holds Page to a well-formed cleaned tree on any input: it
+// never panics, the root is a document, every node is its children's
+// Parent, and nothing that cleaning removes survives — no comment, no
+// dropped-tag or hidden element, no empty or uncollapsed text, no
+// childless element that is not content-bearing.
+func FuzzCleanPage(f *testing.F) {
+	for _, src := range []string{
+		``,
+		`<html/>0`,
+		`<!DOCTYPE html><html><head><title>T</title></head><body><div class="a">x</div></body></html>`,
+		`<ul><li>one<li>two</ul><table><tr><td>a<td>b<tr><td></table>`,
+		`<p>para<div>block</div><p>again</span></div>`,
+		`<div hidden><html>x</html></div><p>y</p>`,
+		`<body><div><span><em></em></span></div><!-- c --><img src=a.png><br/></body>`,
+		`<div style="display: none">h</div><input type="hidden"><select><option>a</select>`,
+		"<div>  a \n\t b  </div>&amp; &#65; &nbsp; <script>x<y</script>",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		doc := Page(src)
+		if doc.Type != dom.DocumentNode || doc.Parent != nil {
+			t.Fatalf("root is %v with parent %v, want a parentless document", doc.Type, doc.Parent)
+		}
+		doc.Walk(func(n *dom.Node) bool {
+			for _, c := range n.Children {
+				if c.Parent != n {
+					t.Errorf("%s child %q: wrong Parent", n.Path(), c.Data)
+				}
+			}
+			switch n.Type {
+			case dom.CommentNode:
+				t.Errorf("comment %q survived", n.Data)
+			case dom.TextNode:
+				if n.Data == "" || n.Data != strings.Join(strings.Fields(n.Data), " ") {
+					t.Errorf("text %q at %s is empty or not collapsed", n.Data, n.Path())
+				}
+			case dom.ElementNode:
+				if droppedTag(n.Data) || hidden(n.Attrs) {
+					t.Errorf("%s survived cleaning", n.Path())
+				}
+				if len(n.Children) == 0 && !contentBearing(n.Data) {
+					t.Errorf("empty %s survived cleaning", n.Path())
+				}
+			}
+			return true
+		})
+	})
 }

@@ -1,17 +1,18 @@
-// Package dom implements a from-scratch HTML document object model with an
-// error-recovering parser, in the spirit of the JTidy pre-processing step
-// used by ObjectRunner. It depends only on the standard library.
+// Package dom implements a from-scratch HTML document object model: the
+// node tree, an HTML tokenizer and a serializer. It depends only on the
+// standard library. Trees are built from raw HTML by package clean, which
+// repairs the malformation classes that dominate real template-generated
+// pages (unclosed <li>/<p>/<td>, stray end tags) while it cleans them.
 //
 // The model is deliberately small: a Node is either an element, a text
-// chunk, a comment, or a doctype, and carries an ordered child list. The
-// parser (see parser.go) repairs the malformation classes that dominate
-// real template-generated pages: unclosed <li>/<p>/<td>, stray end tags,
-// mis-nested inline elements, and raw-text islands (<script>, <style>).
+// chunk, a comment, or a doctype, and carries an ordered child list.
 package dom
 
 import (
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeType discriminates the kinds of DOM nodes.
@@ -169,9 +170,29 @@ func (n *Node) OwnText() string {
 }
 
 // CollapseSpace collapses consecutive whitespace into single spaces and
-// trims the ends.
+// trims the ends. Text that is already collapsed — most text of a
+// generated page — is returned as is, without allocating.
 func CollapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+	space := true // at the start, or after a space
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if r != ' ' || space {
+				return strings.Join(strings.Fields(s), " ")
+			}
+			space = true
+		} else {
+			space = false
+		}
+		i += size
+	}
+	if space && s != "" {
+		return strings.Join(strings.Fields(s), " ")
+	}
+	return s
 }
 
 // Path returns the slash-separated tag path from the document root to n,

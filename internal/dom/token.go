@@ -14,7 +14,9 @@ const (
 	StartTagToken TokenType = iota
 	// EndTagToken is a closing tag such as </div>.
 	EndTagToken
-	// SelfClosingToken is a self-closed tag such as <br/>.
+	// SelfClosingToken is a start tag that takes no children: a
+	// self-closed tag such as <span/>, or a void element such as <br> or
+	// <img src="x">.
 	SelfClosingToken
 	// TextToken is a run of character data between tags.
 	TextToken
@@ -59,15 +61,16 @@ func isRawTextTag(name string) bool {
 	return false
 }
 
-// Next returns the next token and true, or a zero token and false at the
-// end of input. The returned token owns its Attrs slice — callers (the
-// tree parser) may retain it.
-func (z *Tokenizer) Next() (Token, bool) {
-	var tok Token
-	if !z.NextInto(&tok) {
-		return Token{}, false
+// isVoidElement reports tags that never take children and need no end
+// tag. Consulted for every start tag; a switch keeps it off the map-hash
+// path.
+func isVoidElement(name string) bool {
+	switch name {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input",
+		"link", "meta", "param", "source", "track", "wbr":
+		return true
 	}
-	return tok, true
+	return false
 }
 
 // NextInto lexes the next token into *tok, reusing tok.Attrs' backing
@@ -289,8 +292,12 @@ func (z *Tokenizer) nextTag(tok *Token) bool {
 		}
 	}
 	z.pos = j
-	if tok.Type == StartTagToken && isRawTextTag(name) {
-		z.rawTag = name
+	if tok.Type == StartTagToken {
+		if isVoidElement(name) {
+			tok.Type = SelfClosingToken
+		} else if isRawTextTag(name) {
+			z.rawTag = name
+		}
 	}
 	return true
 }

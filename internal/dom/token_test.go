@@ -10,8 +10,8 @@ func tokens(src string) []Token {
 	z := NewTokenizer(src)
 	var out []Token
 	for {
-		tok, ok := z.Next()
-		if !ok {
+		var tok Token
+		if !z.NextInto(&tok) {
 			return out
 		}
 		out = append(out, tok)
@@ -57,9 +57,10 @@ func TestRawTextUnterminatedAtEOF(t *testing.T) {
 			t.Errorf("%s: second token = %+v", tag, toks[1])
 		}
 		z := NewTokenizer(src)
-		z.Next()
-		z.Next()
-		if tok, ok := z.Next(); ok {
+		var tok Token
+		z.NextInto(&tok)
+		z.NextInto(&tok)
+		if z.NextInto(&tok) {
 			t.Errorf("%s: token after EOF: %+v", tag, tok)
 		}
 	}

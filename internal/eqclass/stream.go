@@ -2,22 +2,26 @@ package eqclass
 
 // This file is the serving path's streaming tokenizer: one fused pass
 // over raw HTML that produces exactly the token stream the tree path
-// produces via Parse → ensureStructure → clean.Page → segment.FindByKey
-// → TokenizeLookupPage, without materializing a dom.Node tree. It
-// replays the parser's stack repairs (implied end tags, stray end-tag
-// recovery, void elements), the cleaner's drop/hide/empty rules by arena
-// truncation, and FindByKey's candidate selection, all against a reused
-// per-call arena — steady-state cache hits allocate close to nothing.
+// produces via clean.Page → segment.FindByKey → TokenizeLookupPage,
+// without materializing a dom.Node tree. It reads the cleaned page's
+// events from clean.Events — the same producer clean.Page builds its
+// tree from, so the parser repairs and cleaning rules exist once — and
+// adds only what is specific to streaming: html/body synthesis as
+// implicit frames, FindByKey's candidate selection, and word splitting
+// with read-only symbol lookup, all against a reused per-call arena —
+// steady-state cache hits allocate close to nothing.
 //
-// The pass is exact on the structures template-generated pages use; the
-// handful of pathological shapes it cannot reproduce faithfully (html
-// re-rooted mid-document, a <body> outside the first <html> subtree)
-// make it bail, and the caller falls back to the tree path. Correctness
+// html/body synthesis needs whole-document knowledge before the first
+// token; an upfront scan supplies it, and the pages where the scan's
+// promise and the events disagree (an <html> or <body> named only in
+// text or an attribute, a <body> outside the first <html> subtree) make
+// the pass bail, so the caller falls back to the tree path. Correctness
 // therefore never depends on the fast path: the tree pipeline remains
 // the reference oracle, and TestStreamVsTreeExtract holds the two
 // byte-identical over the sitegen corpus.
 
 import (
+	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -34,28 +38,26 @@ type StreamKey struct {
 	AttrSig string
 }
 
-// streamFrame is one open element on the streaming parse stack.
+// streamFrame is one open element of the cleaned page.
 type streamFrame struct {
-	name    string     // parser tag name (lower-cased)
 	pathLen int        // pathBuf length before this frame extended it
 	mark    int        // arena index of this frame's start occurrence
 	valSym  symtab.Sym // interned TagValue (start and end share it)
 	pthSym  symtab.Sym // interned document-rooted path
-	dropped bool
-	// implicit marks the synthesized html/body frames: they exist only
-	// after ensureStructure in the tree path, so end tags never match
-	// them during the parse replay.
+	// implicit marks a synthesized body inside the first html; the
+	// element events never close it, its html's close does.
 	implicit bool
-	// keepEven marks frames holding a doctype node — the one child kind
-	// that produces no tokens yet keeps its parent out of dropEmpty.
-	keepEven bool
-	cand     int8 // 0 not a block-key candidate, 1 tag+path, 2 tag+path+attrs
+	// firstHTML marks the html that html/body synthesis gives a body:
+	// the first <html>, or the synthesized one.
+	firstHTML bool
+	cand      int8 // 0 not a block-key candidate, 1 tag+path, 2 tag+path+attrs
 }
 
 // StreamArena is the reusable scratch state of one streaming
 // tokenization. One arena serves one goroutine at a time; wrapper-level
 // code pools them (sync.Pool) so steady-state serving reuses the token
-// arena, the frame stack, and the path/word buffers across pages.
+// arena, the frame stack, the event producer, and the path/word buffers
+// across pages.
 type StreamArena struct {
 	arena    []Occurrence
 	occs     []*Occurrence
@@ -63,17 +65,17 @@ type StreamArena struct {
 	pathBuf  []byte
 	wordBuf  []byte
 	sigPairs []string // attr-signature sort scratch (candidates only)
-	tok      dom.Token
+	events   clean.Events
 }
 
 // TokenizeLookupStream tokenizes raw HTML straight into the region token
-// stream the tree path would produce for it: parser repairs, default
-// cleaning, block scoping by key (nil key means whole page), and
-// read-only symbol resolution against tab are all fused into one pass.
-// Occurrences carry only the fields extraction reads — Kind, Raw, Val,
-// Pth — and live in the arena until the next call.
+// stream the tree path would produce for it: the cleaned page's events,
+// html/body synthesis, block scoping by key (nil key means whole page),
+// and read-only symbol resolution against tab are all fused into one
+// pass. Occurrences carry only the fields extraction reads — Kind, Raw,
+// Val, Pth — and live in the arena until the next call.
 //
-// ok is false when the page's structure defeats the fused replay (or tab
+// ok is false when the page's structure defeats the fused pass (or tab
 // is nil); the caller must then take the tree path. The returned slice
 // aliases the arena: it is valid only until the next call on a.
 func TokenizeLookupStream(a *StreamArena, tab *symtab.Table, src string, key *StreamKey, page int) (region []*Occurrence, ok bool) {
@@ -83,25 +85,21 @@ func TokenizeLookupStream(a *StreamArena, tab *symtab.Table, src string, key *St
 	a.arena = a.arena[:0]
 	a.frames = a.frames[:0]
 	a.pathBuf = a.pathBuf[:0]
+	evs := &a.events
+	evs.Reset(src)
 
-	// ensureStructure synthesizes <html>/<body> only when the parsed
-	// tree has none anywhere, so the decision needs whole-document
-	// knowledge before the first token. A substring scan can over-detect
-	// (entity text, attribute values) — that only costs a rare bail —
-	// but can never miss a real tag.
+	// html/body synthesis happens only when the page has no such element,
+	// so the decision needs whole-document knowledge before the first
+	// token. A substring scan can over-detect (entity text, attribute
+	// values) — that only costs a rare bail — but can never miss a real
+	// tag.
 	srcHasHTML := containsTagFold(src, "html")
 	srcHasBody := containsTagFold(src, "body")
 
-	htmlSeen := false // an explicit <html> start tag occurred (kept or dropped)
-	bodySeen := false // a <body> start occurred while the first html was open
-	firstHTML := -1   // frame index of the structural html element
-	droppedDepth := 0 // >0 while inside a subtree the cleaner removes
-	fullStart := -1   // resolved full block-key match: [fullStart, fullEnd)
-	fullEnd := -1
+	fullStart, fullEnd := -1, -1 // resolved full block-key match
 	pathStart, pathEnd := -1, -1 // first surviving tag+path-only match
 
 	docPth := tab.Lookup("")
-
 	curPth := func() symtab.Sym {
 		if n := len(a.frames); n > 0 {
 			return a.frames[n-1].pthSym
@@ -109,242 +107,103 @@ func TokenizeLookupStream(a *StreamArena, tab *symtab.Table, src string, key *St
 		return docPth
 	}
 
-	push := func(f streamFrame) { a.frames = append(a.frames, f) }
-
-	// closeTop closes the top frame: dropEmpty by arena truncation, end
-	// tag emission, candidate resolution, and the body-synthesis bail
-	// check when the structural html closes. It reports false on bail.
-	closeTop := func() bool {
-		n := len(a.frames) - 1
-		f := a.frames[n]
-		a.frames = a.frames[:n]
-		a.pathBuf = a.pathBuf[:f.pathLen]
-		if f.dropped {
-			if droppedDepth > 0 {
-				droppedDepth--
-			}
-			return true
-		}
-		if f.mark >= 0 {
-			if len(a.arena) == f.mark+1 && !f.keepEven && !clean.ContentBearing(f.name) {
-				// Only its own start tag: dropEmpty removes it. The
-				// truncation cascades exactly like the iterative pass —
-				// inner frames close (and truncate) first.
-				a.arena = a.arena[:f.mark]
-			} else {
-				a.arena = append(a.arena, Occurrence{Kind: KindEndTag, Val: f.valSym, Pth: f.pthSym})
-				// A candidate that reached end-tag emission survived
-				// cleaning, so FindByKey would see it.
-				switch f.cand {
-				case 2:
-					fullStart, fullEnd = f.mark, len(a.arena)
-				case 1:
-					if pathStart < 0 {
-						pathStart, pathEnd = f.mark, len(a.arena)
-					}
-				}
-			}
-		}
-		if n == firstHTML {
-			firstHTML = -2 // closed
-			if srcHasBody && !bodySeen {
-				// ensureStructure would synthesize a body under this html
-				// and move its children into it — a reshaping the stream
-				// already emitted past. Fall back to the tree.
-				return false
-			}
-		}
-		return true
-	}
-
-	openImplicit := func(name string) {
+	// open pushes a frame for a surviving element and emits its start tag.
+	open := func(name string, attrs []dom.Attr) *streamFrame {
 		pathLen := len(a.pathBuf)
 		if pathLen > 0 {
 			a.pathBuf = append(a.pathBuf, '/')
 		}
 		a.pathBuf = append(a.pathBuf, name...)
 		f := streamFrame{
-			name:     name,
-			pathLen:  pathLen,
-			mark:     len(a.arena),
-			valSym:   tab.Lookup(name),
-			pthSym:   tab.LookupBytes(a.pathBuf),
-			implicit: true,
+			pathLen: pathLen,
+			mark:    len(a.arena),
+			valSym:  tab.LookupBytes(a.tagValue(name, attrs)),
+			pthSym:  tab.LookupBytes(a.pathBuf),
 		}
 		a.arena = append(a.arena, Occurrence{Kind: KindStartTag, Val: f.valSym, Pth: f.pthSym})
-		push(f)
+		a.frames = append(a.frames, f)
+		return &a.frames[len(a.frames)-1]
+	}
+
+	// closeTop closes the top frame: dropping an empty element by arena
+	// truncation, or emitting its end tag and resolving its candidacy. It
+	// reports false on bail: when the first html closes without the body
+	// the scan promised, html/body synthesis would move its children into
+	// a new body — a reshaping the stream already emitted past.
+	closeTop := func(empty bool) bool {
+		n := len(a.frames) - 1
+		f := a.frames[n]
+		a.frames = a.frames[:n]
+		a.pathBuf = a.pathBuf[:f.pathLen]
+		if empty {
+			a.arena = a.arena[:f.mark]
+			return true
+		}
+		a.arena = append(a.arena, Occurrence{Kind: KindEndTag, Val: f.valSym, Pth: f.pthSym})
+		// A candidate that reached end-tag emission survived cleaning, so
+		// FindByKey would see it.
+		switch f.cand {
+		case 2:
+			fullStart, fullEnd = f.mark, len(a.arena)
+		case 1:
+			if pathStart < 0 {
+				pathStart, pathEnd = f.mark, len(a.arena)
+			}
+		}
+		return !(f.firstHTML && srcHasBody && !evs.Body())
 	}
 
 	if !srcHasHTML {
-		openImplicit("html")
-		firstHTML = 0
+		open("html", nil).firstHTML = true
 		if !srcHasBody {
-			openImplicit("body")
+			open("body", nil)
 		}
 	}
 
-	z := dom.NewTokenizer(src)
-	bailed := false
-
-scan:
-	for z.NextInto(&a.tok) {
-		tok := &a.tok
-		switch tok.Type {
-		case dom.TextToken:
-			if droppedDepth > 0 {
-				continue
-			}
-			pth := curPth()
-			data := tok.Data
-			i := 0
-			for i < len(data) {
-				r, size := rune(data[i]), 1
-				if r >= utf8.RuneSelf {
-					r, size = utf8.DecodeRuneInString(data[i:])
-				}
-				if unicode.IsSpace(r) {
-					i += size
-					continue
-				}
-				start := i
-				for i < len(data) {
-					r, size = rune(data[i]), 1
-					if r >= utf8.RuneSelf {
-						r, size = utf8.DecodeRuneInString(data[i:])
-					}
-					if unicode.IsSpace(r) {
-						break
-					}
-					i += size
-				}
-				word := data[start:i]
-				a.wordBuf = appendLower(a.wordBuf[:0], word)
-				a.arena = append(a.arena, Occurrence{
-					Kind: KindWord,
-					Raw:  word,
-					Val:  tab.LookupBytes(a.wordBuf),
-					Pth:  pth,
-				})
-			}
-		case dom.CommentToken:
-			// Dropped by cleaning; no structural effect.
-		case dom.DoctypeToken:
-			// Doctype nodes survive cleaning but emit no tokens; they
-			// keep their parent out of dropEmpty.
-			if droppedDepth == 0 && len(a.frames) > 0 {
-				a.frames[len(a.frames)-1].keepEven = true
-			}
-		case dom.StartTagToken, dom.SelfClosingToken:
-			name := tok.Data
-			// Parser repairs run before any cleaning decision, exactly
-			// as Parse runs before Clean.
-			for len(a.frames) > 0 && dom.ClosesImplicitly(name, a.frames[len(a.frames)-1].name) {
-				if !closeTop() {
-					bailed = true
-					break scan
-				}
-			}
-			if name == "html" {
-				if !htmlSeen {
-					htmlSeen = true
-					if droppedDepth == 0 {
-						// This is the element ensureStructure anchors body
-						// synthesis on (the first html in pre-order).
-						firstHTML = len(a.frames)
-					}
-				}
-			} else if name == "body" && firstHTML >= 0 {
-				bodySeen = true
-			}
-			dropped := droppedDepth > 0 || clean.DroppedTag(name) || clean.HiddenAttrs(tok.Attrs)
-			pushed := tok.Type == dom.StartTagToken && !dom.VoidElement(name)
-			if dropped {
-				if pushed {
-					push(streamFrame{name: name, pathLen: len(a.pathBuf), mark: -1, dropped: true})
-					droppedDepth++
-				}
-				continue
-			}
-			pathLen := len(a.pathBuf)
-			if pathLen > 0 {
-				a.pathBuf = append(a.pathBuf, '/')
-			}
-			a.pathBuf = append(a.pathBuf, name...)
-			f := streamFrame{
-				name:    name,
-				pathLen: pathLen,
-				mark:    len(a.arena),
-				valSym:  tab.LookupBytes(a.tagValue(name, tok.Attrs)),
-				pthSym:  tab.LookupBytes(a.pathBuf),
-			}
-			if key != nil && fullStart < 0 && name == key.Tag && string(a.pathBuf) == key.Path {
-				if attrSigEqual(a, tok.Attrs, key.AttrSig) {
+	var ev clean.Event
+	for evs.Next(&ev) {
+		switch ev.Kind {
+		case clean.TextEvent:
+			a.appendWords(tab, ev.Data, curPth())
+		case clean.OpenEvent:
+			f := open(ev.Data, ev.Attrs)
+			f.firstHTML = ev.FirstHTML
+			if key != nil && fullStart < 0 && ev.Data == key.Tag && string(a.pathBuf) == key.Path {
+				if attrSigEqual(a, ev.Attrs, key.AttrSig) {
 					f.cand = 2
 				} else if pathStart < 0 {
 					f.cand = 1
 				}
 			}
-			a.arena = append(a.arena, Occurrence{Kind: KindStartTag, Val: f.valSym, Pth: f.pthSym})
-			if !pushed {
-				// Void or self-closed: childless in the tree, so it
-				// survives cleaning only when content-bearing.
-				if clean.ContentBearing(name) {
-					a.arena = append(a.arena, Occurrence{Kind: KindEndTag, Val: f.valSym, Pth: f.pthSym})
-				} else {
-					a.arena = a.arena[:f.mark]
-				}
-				a.pathBuf = a.pathBuf[:pathLen]
-				continue
+			if ev.FirstHTML && !srcHasBody {
+				open("body", nil).implicit = true
 			}
-			push(f)
-			if firstHTML == len(a.frames)-1 && !srcHasBody {
-				openImplicit("body")
+		case clean.CloseEvent:
+			if a.frames[len(a.frames)-1].implicit && !closeTop(false) {
+				return nil, false
 			}
-		case dom.EndTagToken:
-			name := tok.Data
-			if dom.VoidElement(name) {
-				continue
-			}
-			// Stray end-tag recovery: close down to the matching open
-			// element, or ignore. Implicit frames don't exist during the
-			// tree parse and can never match.
-			match := -1
-			for i := len(a.frames) - 1; i >= 0; i-- {
-				if !a.frames[i].implicit && a.frames[i].name == name {
-					match = i
-					break
-				}
-			}
-			if match < 0 {
-				continue
-			}
-			for len(a.frames) > match {
-				if !closeTop() {
-					bailed = true
-					break scan
-				}
+			if !closeTop(ev.Empty) {
+				return nil, false
 			}
 		}
-		if fullStart >= 0 {
-			// The block key resolved exactly; nothing after the region
-			// can change it (pre-order-first wins, and a closed non-empty
-			// region can no longer be truncated).
-			break scan
+		if fullStart >= 0 && (!srcHasBody || evs.Body()) {
+			// The block key resolved exactly, and no body synthesis can
+			// still reshape the page; nothing after the region can change
+			// it (pre-order-first wins, and a closed non-empty region can
+			// no longer be truncated).
+			break
 		}
 	}
-
-	if bailed {
+	if srcHasHTML && !evs.HTML() {
+		// The scan promised an <html> that never materialized as a tag
+		// (or the scan stopped before it); the tree path would synthesize
+		// structure the stream did not.
 		return nil, false
 	}
-	for len(a.frames) > 0 && fullStart < 0 {
-		if !closeTop() {
+	for len(a.frames) > 0 {
+		if !closeTop(false) {
 			return nil, false
 		}
-	}
-	if srcHasHTML && !htmlSeen {
-		// The scan promised an <html> that never materialized as a tag;
-		// the tree path would synthesize structure the stream did not.
-		return nil, false
 	}
 
 	start, end := 0, len(a.arena)
@@ -368,12 +227,47 @@ scan:
 	return a.occs, true
 }
 
+// appendWords appends the text's words — strings.Fields' split — as word
+// occurrences on path pth.
+func (a *StreamArena) appendWords(tab *symtab.Table, data string, pth symtab.Sym) {
+	i := 0
+	for i < len(data) {
+		r, size := rune(data[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(data[i:])
+		}
+		if unicode.IsSpace(r) {
+			i += size
+			continue
+		}
+		start := i
+		for i < len(data) {
+			r, size = rune(data[i]), 1
+			if r >= utf8.RuneSelf {
+				r, size = utf8.DecodeRuneInString(data[i:])
+			}
+			if unicode.IsSpace(r) {
+				break
+			}
+			i += size
+		}
+		word := data[start:i]
+		a.wordBuf = appendLower(a.wordBuf[:0], word)
+		a.arena = append(a.arena, Occurrence{
+			Kind: KindWord,
+			Raw:  word,
+			Val:  tab.LookupBytes(a.wordBuf),
+			Pth:  pth,
+		})
+	}
+}
+
 // tagValue builds TagValue's "name" or "name.firstclasstoken" form into
 // the arena's word buffer.
 func (a *StreamArena) tagValue(name string, attrs []dom.Attr) []byte {
 	a.wordBuf = append(a.wordBuf[:0], name...)
 	for _, at := range attrs {
-		if at.Name != "class" {
+		if !clean.AttrIs(at.Name, "class") {
 			continue
 		}
 		cls := at.Value
@@ -456,18 +350,18 @@ func appendLower(dst []byte, s string) []byte {
 }
 
 // attrSigEqual reports whether the token attributes' AttrSignature —
-// lexically sorted "name=value" pairs joined by ';' — equals sig.
-// Attribute names arrive lower-cased from the tokenizer, matching
-// AttrSignature's ToLower. The check runs only on tag+path candidates —
-// a handful of elements per page at most — so the small sort scratch
-// stays off the per-token path.
+// lexically sorted "name=value" pairs with lower-cased names, joined by
+// ';' — equals sig. The tokenizer lower-cases only ASCII letters, so the
+// names are lower-cased here too, as AttrSignature does. The check runs
+// only on tag+path candidates — a handful of elements per page at most —
+// so the small sort scratch stays off the per-token path.
 func attrSigEqual(a *StreamArena, attrs []dom.Attr, sig string) bool {
 	if len(attrs) == 0 {
 		return sig == ""
 	}
 	pairs := a.sigPairs[:0]
 	for _, at := range attrs {
-		pairs = append(pairs, at.Name+"="+at.Value)
+		pairs = append(pairs, strings.ToLower(at.Name)+"="+at.Value)
 	}
 	for i := 1; i < len(pairs); i++ {
 		for j := i; j > 0 && pairs[j] < pairs[j-1]; j-- {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"objectrunner/internal/clean"
+	"objectrunner/internal/dom"
 	"objectrunner/internal/segment"
 	"objectrunner/internal/symtab"
 )
@@ -90,6 +91,9 @@ var streamCases = []struct {
 	{"only_whitespace", "  \n\t  "},
 	{"only_doctype", `<!DOCTYPE html>`},
 	{"late_html", `<div>early</div><html><span>wrapped</span></html>`},
+	{"self_closed_html", `<html/>0`},
+	{"self_closed_html_then_block", `<html/><div>x</div>`},
+	{"case_folded_attr_names", `<html><body><div ſtyle="display:none">gone</div><div claſs="Folded">kept</div></body></html>`},
 	{"duplicate_attrs", `<html><body><div type="text" type="hidden">kept?</div><div type="hidden" type="text">gone</div></body></html>`},
 }
 
@@ -111,19 +115,21 @@ func TestStreamTokenizerMatchesTree(t *testing.T) {
 	}
 }
 
+// streamBailCases are structures the fused pass cannot reproduce.
+var streamBailCases = []struct {
+	name string
+	src  string
+}{
+	{"body_outside_html", `<html><div>x</div></html><body>y</body>`},
+	{"html_promised_never_delivered", `<p>a &lt;html&gt; page about <b>&amp;html</b></p><div title="<html>">x</div>`},
+	{"body_promised_never_delivered", `<html><div data-x="<body>">x</div></html>`},
+}
+
 // TestStreamTokenizerBailsAreExplicit runs structures the fused pass
 // cannot reproduce and asserts it refuses them instead of emitting a
 // divergent stream.
 func TestStreamTokenizerBailsAreExplicit(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"body_outside_html", `<html><div>x</div></html><body>y</body>`},
-		{"html_promised_never_delivered", `<p>a &lt;html&gt; page about <b>&amp;html</b></p><div title="<html>">x</div>`},
-		{"body_promised_never_delivered", `<html><div data-x="<body>">x</div></html>`},
-	}
-	for _, tc := range cases {
+	for _, tc := range streamBailCases {
 		tab := fullTable(tc.src)
 		var a StreamArena
 		got, ok := TokenizeLookupStream(&a, tab, tc.src, nil, 0)
@@ -163,6 +169,35 @@ func TestStreamTokenizerBlockScoping(t *testing.T) {
 			diffTokens(t, treeTokens(tab, src, &k.key, 0), got)
 		})
 	}
+
+	// AttrSignature lower-cases the whole attribute name; the tokenizer
+	// only its ASCII letters.
+	t.Run("non_ascii_attr_name", func(t *testing.T) {
+		src := `<html><body><div>decoy</div><div Éclat="1">x</div></body></html>`
+		key := segment.Key{Tag: "div", Path: "html/body/div", AttrSig: "éclat=1"}
+		tab := fullTable(src)
+		sk := StreamKey{Tag: key.Tag, Path: key.Path, AttrSig: key.AttrSig}
+		var a StreamArena
+		got, ok := TokenizeLookupStream(&a, tab, src, &sk, 0)
+		if !ok {
+			t.Fatalf("unexpected bail")
+		}
+		diffTokens(t, treeTokens(tab, src, &key, 0), got)
+	})
+
+	// A full match found while a body is still promised but not seen:
+	// the tree gives the html a body, so the key's body-less path never
+	// matches there. The pass must not stop at the match.
+	t.Run("match_before_body_synthesis", func(t *testing.T) {
+		src := `<html><div class="m">x</div><p title="<body>">y</p></html>`
+		key := segment.Key{Tag: "div", Path: "html/div", AttrSig: "class=m"}
+		tab := fullTable(src)
+		sk := StreamKey{Tag: key.Tag, Path: key.Path, AttrSig: key.AttrSig}
+		var a StreamArena
+		if got, ok := TokenizeLookupStream(&a, tab, src, &sk, 0); ok {
+			diffTokens(t, treeTokens(tab, src, &key, 0), got)
+		}
+	})
 }
 
 // TestStreamArenaReuse proves the arena is safe to reuse across pages:
@@ -199,4 +234,42 @@ func TestStreamTokenizerLargePage(t *testing.T) {
 		t.Fatalf("unexpected bail on large page")
 	}
 	diffTokens(t, treeTokens(tab, src, nil, 0), got)
+}
+
+// FuzzStreamTokens holds the fused pass to "bail, don't diverge" at the
+// token level: for any input, TokenizeLookupStream either bails or
+// yields exactly treeTokens' stream under a table holding every token of
+// the cleaned tree — once over the whole page and once keyed to the
+// first element of the cleaned tree, other than html and body, that has
+// children. A divergence is fixed in the stream pass, never by loosening
+// this comparison.
+func FuzzStreamTokens(f *testing.F) {
+	for _, tc := range streamCases {
+		f.Add(tc.src)
+	}
+	for _, tc := range streamBailCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tab := fullTable(src)
+		var a StreamArena
+		if got, ok := TokenizeLookupStream(&a, tab, src, nil, 0); ok {
+			diffTokens(t, treeTokens(tab, src, nil, 0), got)
+		}
+		var block *dom.Node
+		clean.Page(src).Walk(func(n *dom.Node) bool {
+			if block == nil && n.Type == dom.ElementNode && n.Data != "html" && n.Data != "body" && len(n.Children) > 0 {
+				block = n
+			}
+			return block == nil
+		})
+		if block == nil {
+			return
+		}
+		key := segment.KeyOf(block)
+		sk := StreamKey{Tag: key.Tag, Path: key.Path, AttrSig: key.AttrSig}
+		if got, ok := TokenizeLookupStream(&a, tab, src, &sk, 0); ok {
+			diffTokens(t, treeTokens(tab, src, &key, 0), got)
+		}
+	})
 }

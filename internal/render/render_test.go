@@ -165,7 +165,7 @@ func TestDocumentBoxCoversContent(t *testing.T) {
 }
 
 func TestEmptyDocument(t *testing.T) {
-	doc := dom.Parse("")
+	doc := clean.Page("")
 	l := ComputeDefault(doc)
 	if l.Box(doc).W != DefaultMetrics().ViewportWidth {
 		t.Error("empty document missing viewport box")

@@ -98,7 +98,7 @@ func TestMainBlockExcludesChrome(t *testing.T) {
 }
 
 func TestMainBlockEmptyPage(t *testing.T) {
-	doc := dom.Parse(`<html><body></body></html>`)
+	doc := clean.Page(`<html><body></body></html>`)
 	main := MainBlock(doc, DefaultOptions())
 	if main == nil {
 		t.Fatal("nil main block on empty page")
