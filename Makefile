@@ -77,7 +77,7 @@ orbench-check:
 # bench runs every benchmark and additionally records the parallel
 # scaling run (BENCH_parallel.json), the serving-cache economics — cold
 # wrap vs cache hit vs disk load — and the daemon's in-process extract
-# handler (BENCH_serve.json), and the allocation profiles of cold
+# handler and corpus cold wrap (BENCH_serve.json), and the allocation profiles of cold
 # inference and of cleaning one page (BENCH_alloc.json) as JSON for the perf
 # trajectory. Each JSON file is written to a temp path and renamed only
 # on success, so a failed run never truncates the previous record.
@@ -85,7 +85,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|WrapHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
@@ -97,22 +97,25 @@ bench:
 bench-smoke:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=1x -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|WrapHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=1x -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-guard is the perf regression gate: it re-records the parallel
-# scaling, serving (cache and HTTP handler), cold-inference and
-# page-cleaning allocation benchmarks
+# scaling, serving (cache hit, HTTP extract handler and the daemon's
+# cold wrap of the whole corpus), cold-inference and page-cleaning
+# allocation benchmarks
 # (tmp+rename, like bench) and compares them against the committed
 # baselines under bench/baseline/ with cmd/benchguard, failing on any
 # >20% ns/op regression (or a vanished benchmark). A fixed iteration budget repeated GUARD_COUNT
 # times keeps wall time in seconds; benchguard takes the minimum across
 # repeats, so a single noisy run cannot fail the gate on its own.
+# BenchmarkWrapHTTP, one op of which wraps all 49 corpus sources (about
+# a second), runs one iteration per repeat instead of GUARD_BENCHTIME.
 # allocs/op gates separately (GUARD_ALLOC_TOLERANCE, default strict:
 # any increase over a baseline that recorded allocs fails — allocation
-# counts are deterministic, unlike wall time). Both the guard and the
+# counts are deterministic, unlike wall time), and B/op at a fixed +10%. Both the guard and the
 # baseline run at -cpu 1: with more than one P the runtime's own
 # goroutine and scheduler allocations vary from run to run, and a
 # strict gate would flake on them.
@@ -127,6 +130,7 @@ bench-guard:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkWrapHTTP$$' -benchtime=1x -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX ./internal/httpserver/ >> BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
@@ -142,6 +146,7 @@ bench-baseline:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
 	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > bench/baseline/BENCH_serve.json.tmp
+	$(GO) test -json -bench='^BenchmarkWrapHTTP$$' -benchtime=1x -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX ./internal/httpserver/ >> bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp
 	mv bench/baseline/BENCH_alloc.json.tmp bench/baseline/BENCH_alloc.json

@@ -38,10 +38,11 @@ func (e *Extractor) WrapContext(ctx context.Context, pages []string) (*Wrapper, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	workers := wrapper.InferWorkers(e.cfg)
 	sp := e.obs.Span("pipeline.clean",
-		obs.A("pages", len(pages)), obs.A("workers", e.cfg.Workers))
+		obs.A("pages", len(pages)), obs.A("workers", workers))
 	parsed := make([]*dom.Node, len(pages))
-	if err := parallel.ForEachObservedCtx(ctx, sp.Observer(), e.cfg.Workers, len(pages), func(_ *obs.Observer, i int) {
+	if err := parallel.ForEachObservedCtx(ctx, sp.Observer(), workers, len(pages), func(_ *obs.Observer, i int) {
 		parsed[i] = clean.Page(pages[i])
 	}); err != nil {
 		sp.End(obs.A("canceled", true))

@@ -8,26 +8,27 @@
 //
 //	BenchmarkWrapParallel/workers=4-8   	     100	  14752310 ns/op	  123456 B/op	  789 allocs/op
 //
-// is parsed into (name, ns/op, allocs/op). The trailing -N GOMAXPROCS
+// is parsed into (name, ns/op, B/op, allocs/op). The trailing -N GOMAXPROCS
 // suffix is stripped so records compare across machines, and when a
 // stream carries several results for one benchmark (-count > 1), the
 // minimum of each measure is kept — the fastest observed run is the
 // least noisy estimate of what the code can do, which is the right
 // basis on loaded CI runners. With several repeats the table also
-// prints each fresh benchmark's min–max of ns/op and allocs/op beside
-// the gated minimum; the spread is never gated.
+// prints each fresh benchmark's min–max of ns/op, allocs/op and B/op
+// beside the gated minimum; the spread is never gated.
 //
 // Usage:
 //
 //	benchguard [-tolerance 0.20] [-alloc-tolerance 0] baseline.json:fresh.json [more pairs...]
 //
 // Exit status 1 when any benchmark present in a baseline is missing from
-// its fresh run, slower than baseline*(1+tolerance), or allocating more
-// than baseline*(1+alloc-tolerance); benchmarks only present in the
-// fresh run are reported but do not fail (they gate once they enter the
-// baseline). allocs/op gates only where the baseline recorded it (runs
-// with -benchmem), so pre-benchmem baselines stay usable. The diff table
-// always prints, pass or fail.
+// its fresh run, slower than baseline*(1+tolerance), allocating more
+// often than baseline*(1+alloc-tolerance), or allocating more bytes than
+// baseline B/op*(1+bytesTolerance); benchmarks only present in the fresh
+// run are reported but do not fail (they gate once they enter the
+// baseline). allocs/op and B/op gate only where the baseline recorded
+// them (runs with -benchmem), so pre-benchmem baselines stay usable. The
+// diff table always prints, pass or fail.
 package main
 
 import (
@@ -57,19 +58,30 @@ var (
 	resultLine = regexp.MustCompile(`^\s*\d+\s+([0-9.]+) ns/op(.*)$`)
 	// The -benchmem tail of a result line.
 	allocsPart = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+	bytesPart  = regexp.MustCompile(`\s([0-9.]+) B/op`)
 )
 
+// bytesTolerance is the fixed B/op gate: bytes allocated per op follow
+// the code, like allocation counts, but move a little with run length
+// and runtime bookkeeping, so a strict gate would flake. Allocation
+// counts alone cannot hold a memory diet — fewer, larger allocations
+// keep the count while the bytes, and the garbage collection they
+// cause, grow.
+const bytesTolerance = 0.10
+
 // result is the per-benchmark record the guard compares: minimum ns/op
-// across repeats, and minimum allocs/op where -benchmem was on. The
-// maxima and the repeat count are only printed, as the spread beside
+// across repeats, and minimum allocs/op and B/op where -benchmem was on.
+// The maxima and the repeat count are only printed, as the spread beside
 // the gated minimum.
 type result struct {
 	ns        float64
 	allocs    float64
 	hasAllocs bool
+	bytes     float64
+	hasBytes  bool
 
-	nsMax, allocsMax float64
-	runs             int
+	nsMax, allocsMax, bytesMax float64
+	runs                       int
 }
 
 // testEvent is the subset of the `go test -json` event stream we read.
@@ -102,6 +114,15 @@ func parseStream(r io.Reader, label string) (map[string]result, error) {
 					cur.hasAllocs = true
 				}
 				cur.allocsMax = max(cur.allocsMax, al)
+			}
+		}
+		if m := bytesPart.FindStringSubmatch(tail); m != nil {
+			if by, err := strconv.ParseFloat(m[1], 64); err == nil {
+				if !cur.hasBytes || by < cur.bytes {
+					cur.bytes = by
+					cur.hasBytes = true
+				}
+				cur.bytesMax = max(cur.bytesMax, by)
 			}
 		}
 		out[name] = cur
@@ -186,7 +207,11 @@ func spread(r result) string {
 	if r.hasAllocs {
 		s += fmt.Sprintf(", allocs %.0f–%.0f", r.allocs, r.allocsMax)
 	}
-	return s + "]"
+	s += "]"
+	if r.hasBytes {
+		s += fmt.Sprintf(" [B/op %.0f–%.0f, %+.1f%%]", r.bytes, r.bytesMax, (r.bytesMax-r.bytes)/r.bytes*100)
+	}
+	return s
 }
 
 // comparePair prints the diff table for one baseline:fresh pair and
@@ -197,7 +222,7 @@ func comparePair(w io.Writer, basePath, freshPath string, base, fresh map[string
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "%s vs %s (tolerance +%.0f%%, allocs +%.0f%%)\n", basePath, freshPath, tolerance*100, allocTolerance*100)
+	fmt.Fprintf(w, "%s vs %s (tolerance +%.0f%%, allocs +%.0f%%, B/op +%.0f%%)\n", basePath, freshPath, tolerance*100, allocTolerance*100, bytesTolerance*100)
 	for _, name := range names {
 		b := base[name]
 		f, ok := fresh[name]
@@ -227,6 +252,20 @@ func comparePair(w io.Writer, basePath, freshPath string, base, fresh map[string
 				alloc = fmt.Sprintf("  allocs %.0f → %.0f", b.allocs, f.allocs)
 			default:
 				alloc = fmt.Sprintf("  allocs %.0f → %.0f", b.allocs, f.allocs)
+			}
+		}
+		if b.hasBytes {
+			switch {
+			case !f.hasBytes:
+				verdict = "FAIL"
+				failed = true
+				alloc += fmt.Sprintf("  B/op %.0f → missing", b.bytes)
+			case f.bytes > b.bytes*(1+bytesTolerance):
+				verdict = "FAIL"
+				failed = true
+				alloc += fmt.Sprintf("  B/op %.0f → %.0f", b.bytes, f.bytes)
+			default:
+				alloc += fmt.Sprintf("  B/op %.0f → %.0f", b.bytes, f.bytes)
 			}
 		}
 		fmt.Fprintf(w, "  %s %-50s baseline %10s  fresh %10s  %+6.1f%%%s%s\n",
@@ -276,7 +315,7 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Println("bench-guard: FAILED — ns/op or allocs/op regressed past tolerance (or a benchmark disappeared)")
+		fmt.Println("bench-guard: FAILED — ns/op, allocs/op or B/op regressed past tolerance (or a benchmark disappeared)")
 		os.Exit(1)
 	}
 	fmt.Println("bench-guard: ok")

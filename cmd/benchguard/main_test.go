@@ -224,3 +224,54 @@ func TestSpreadPrinted(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareBytesGate: B/op gates at a fixed +10% where the baseline
+// recorded it, whatever the allocation count does — a diet that keeps
+// the count but allocates more bytes fails — and a baseline without
+// B/op does not gate it.
+func TestCompareBytesGate(t *testing.T) {
+	base := map[string]result{
+		"BenchmarkWrap": {ns: 100, allocs: 60, hasAllocs: true, bytes: 1000, hasBytes: true},
+		"BenchmarkOld":  {ns: 100},
+	}
+	cases := []struct {
+		name     string
+		bytes    float64
+		has      bool
+		wantFail bool
+	}{
+		{"identical", 1000, true, false},
+		{"within_10pct", 1099, true, false},
+		{"past_10pct_same_allocs", 1101, true, true},
+		{"fewer_bytes", 500, true, false},
+		{"fresh_missing_bytes", 0, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := map[string]result{
+				"BenchmarkWrap": {ns: 100, allocs: 60, hasAllocs: true, bytes: tc.bytes, hasBytes: tc.has},
+				"BenchmarkOld":  {ns: 100, bytes: 1e12, hasBytes: true},
+			}
+			var sb strings.Builder
+			if failed := comparePair(&sb, "b", "f", base, fresh, 0.2, 0); failed != tc.wantFail {
+				t.Fatalf("failed = %v, want %v\n%s", failed, tc.wantFail, sb.String())
+			}
+		})
+	}
+	stream := strings.Join([]string{
+		ev("BenchmarkWrap-1   1\t 100 ns/op\t 1200 B/op\t 60 allocs/op\n"),
+		ev("BenchmarkWrap-1   1\t 110 ns/op\t 1000 B/op\t 60 allocs/op\n"),
+	}, "\n")
+	fresh, err := parseStream(strings.NewReader(stream), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := fresh["BenchmarkWrap"]; !r.hasBytes || r.bytes != 1000 || r.bytesMax != 1200 {
+		t.Fatalf("parsed %+v, want B/op min 1000 max 1200", r)
+	}
+	var sb strings.Builder
+	comparePair(&sb, "b", "f", base, fresh, 0.2, 0)
+	if !strings.Contains(sb.String(), "[B/op 1000–1200, +20.0%]") {
+		t.Errorf("no B/op spread:\n%s", sb.String())
+	}
+}

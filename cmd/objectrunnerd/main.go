@@ -64,7 +64,7 @@ func run() error {
 	cacheCap := flag.Int("cache-capacity", 64, "wrappers held in memory per source registry entry")
 	cacheTTL := flag.Duration("cache-ttl", 0, "wrapper expiry (0 = no expiry)")
 	healthThreshold := flag.Float64("health-threshold", 0, "empty-serve rate above which a wrapper is re-inferred (0 disables)")
-	workers := flag.Int("workers", 0, "pipeline worker goroutines per request (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "worker goroutines per extract request (0 = one per CPU); wraps infer on one goroutine")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on waiting for in-flight handlers and the cache spill at shutdown")
 	flightTraces := flag.Int("flight-traces", 64, "request traces kept by the flight recorder (N most recent + N slowest, GET /v1/debug/traces)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: exposes process internals)")

@@ -262,10 +262,10 @@ func newTFMemo(tf TermFreq) *tfMemo {
 
 func (m *tfMemo) TermFrequency(phrase string) float64 {
 	sym := m.tab.Intern(phrase)
-	if int(sym) >= len(m.vals) {
-		grown := make([]float64, int(sym)+1)
-		copy(grown, m.vals)
-		m.vals = grown
+	if n := int(sym) + 1; n > len(m.vals) {
+		// append grows the table geometrically; growing it to exactly
+		// the new symbol would copy it for every new phrase.
+		m.vals = append(m.vals, make([]float64, n-len(m.vals))...)
 	}
 	if m.vals[sym] == 0 {
 		m.vals[sym] = m.tf.TermFrequency(phrase)

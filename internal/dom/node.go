@@ -169,6 +169,25 @@ func (n *Node) OwnText() string {
 	return CollapseSpace(sb.String())
 }
 
+// FieldStats reports the words of s as strings.Fields splits them: how
+// many there are and how many bytes they hold together. CollapseSpace(s)
+// is those words joined by single spaces, so its length is bytes +
+// words - 1 when there is a word, without building it.
+func FieldStats(s string) (words, bytes int) {
+	bytes = len(s)
+	inWord := false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			bytes -= utf8.RuneLen(r)
+			inWord = false
+		} else if !inWord {
+			inWord = true
+			words++
+		}
+	}
+	return words, bytes
+}
+
 // CollapseSpace collapses consecutive whitespace into single spaces and
 // trims the ends. Text that is already collapsed — most text of a
 // generated page — is returned as is, without allocating.
@@ -181,7 +200,7 @@ func CollapseSpace(s string) string {
 		}
 		if unicode.IsSpace(r) {
 			if r != ' ' || space {
-				return strings.Join(strings.Fields(s), " ")
+				return joinFields(s)
 			}
 			space = true
 		} else {
@@ -190,9 +209,42 @@ func CollapseSpace(s string) string {
 		i += size
 	}
 	if space && s != "" {
-		return strings.Join(strings.Fields(s), " ")
+		return joinFields(s)
 	}
 	return s
+}
+
+// joinFields is strings.Join(strings.Fields(s), " ") in one allocation.
+func joinFields(s string) string {
+	words, bytes := FieldStats(s)
+	if words == 0 {
+		return ""
+	}
+	var sb strings.Builder
+	sb.Grow(bytes + words - 1)
+	start := -1
+	for i, r := range s {
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			if sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(s[start:])
+	}
+	return sb.String()
 }
 
 // Path returns the slash-separated tag path from the document root to n,
@@ -216,6 +268,36 @@ func (n *Node) Path() string {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
 	return strings.Join(parts, "/")
+}
+
+// HasPath reports whether n.Path() == p, without building the path.
+func (n *Node) HasPath(p string) bool {
+	for cur := n; cur != nil && cur.Type != DocumentNode; cur = cur.Parent {
+		var seg string
+		switch cur.Type {
+		case ElementNode:
+			seg = cur.Data
+		case TextNode:
+			seg = "#text"
+		case CommentNode:
+			seg = "#comment"
+		case DoctypeNode:
+			seg = "#doctype"
+		default:
+			continue
+		}
+		if !strings.HasSuffix(p, seg) {
+			return false
+		}
+		p = p[:len(p)-len(seg)]
+		if cur.Parent != nil && cur.Parent.Type != DocumentNode {
+			if !strings.HasSuffix(p, "/") {
+				return false
+			}
+			p = p[:len(p)-1]
+		}
+	}
+	return p == ""
 }
 
 // IndexPath returns the path from root to n as child indexes, which

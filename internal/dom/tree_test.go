@@ -259,15 +259,23 @@ func TestDecodeEntitiesQuick(t *testing.T) {
 }
 
 // TestCollapseSpaceQuick: CollapseSpace is strings.Fields joined by
-// single spaces, on text it returns as is and on text it rebuilds.
+// single spaces, on text it returns as is and on text it rebuilds, and
+// FieldStats counts those fields and their bytes.
 func TestCollapseSpaceQuick(t *testing.T) {
 	want := func(s string) string { return strings.Join(strings.Fields(s), " ") }
+	stats := func(s string) bool {
+		words, bytes := dom.FieldStats(s)
+		return words == len(strings.Fields(s)) && bytes == len(want(s))-max(words-1, 0)
+	}
 	for _, s := range []string{"", " ", "a", "a b", "a  b", " a", "a ", "a\tb", "a\u00a0b", "a\u2003b", "\xffa b\xfe", "é — b", "a\u0085"} {
 		if got := dom.CollapseSpace(s); got != want(s) {
 			t.Errorf("CollapseSpace(%q) = %q, want %q", s, got, want(s))
 		}
+		if !stats(s) {
+			t.Errorf("FieldStats(%q) disagrees with strings.Fields", s)
+		}
 	}
-	if err := quick.Check(func(s string) bool { return dom.CollapseSpace(s) == want(s) }, nil); err != nil {
+	if err := quick.Check(func(s string) bool { return dom.CollapseSpace(s) == want(s) && stats(s) }, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -423,5 +431,27 @@ func TestTitleRawText(t *testing.T) {
 	}
 	if got := title.OwnText(); got != "A & B < C" {
 		t.Errorf("title = %q", got)
+	}
+}
+
+// HasPath(p) holds exactly when p is the node's Path.
+func TestHasPathMatchesPath(t *testing.T) {
+	doc := clean.Page(`<html><body><div class="a"><p>x <b>y</b></p><ul><li>1</li><li>2</li></ul></div></body></html>`)
+	nodes := 0
+	doc.Walk(func(n *dom.Node) bool {
+		nodes++
+		p := n.Path()
+		if !n.HasPath(p) {
+			t.Errorf("HasPath(%q) = false on its own path", p)
+		}
+		for _, q := range []string{p + "/x", "x/" + p, p + "/", strings.TrimSuffix(p, "p"), "html/body/div/ul/li/#text/li"} {
+			if q != p && n.HasPath(q) {
+				t.Errorf("node at %q: HasPath(%q) = true", p, q)
+			}
+		}
+		return true
+	})
+	if nodes < 10 {
+		t.Fatalf("walked %d nodes", nodes)
 	}
 }

@@ -1,10 +1,11 @@
 package eqclass
 
 import (
+	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"objectrunner/internal/obs"
-	"objectrunner/internal/parallel"
 	"objectrunner/internal/symtab"
 )
 
@@ -31,14 +32,15 @@ type baseGroup struct {
 
 // Base is the immutable per-corpus snapshot of Algorithm 2's shared
 // first stage. It is safe for concurrent Analyze calls; the snapshot
-// itself is never mutated after NewBase returns (analysis runs operate
-// on page copies, and role-key slices are replaced wholesale, never
-// edited in place).
+// itself is never mutated after NewBase returns (analysis runs read the
+// pages and start from a copy of the role assignment, and role-key
+// slices are replaced wholesale, never edited in place).
 type Base struct {
 	pages    [][]*Occurrence
 	tab      *symtab.Table
 	params   Params
 	roleKeys []roleKey
+	roles    []int32
 	pageOff  []int
 	stats    []roleStat
 	groups   []baseGroup
@@ -49,9 +51,6 @@ type Base struct {
 	// uses counts analysis runs resumed from this base; runs after the
 	// first increment the eqclass.base_reuse counter.
 	uses atomic.Int64
-	// spent marks a base whose master pages were consumed by an in-place
-	// run (AnalyzeTable); later Analyze calls rebuild from scratch.
-	spent atomic.Bool
 }
 
 // NewBase computes the snapshot: interning (skipped for already-interned
@@ -81,15 +80,19 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 		}
 	}
 
+	// The snapshot keeps the role keys and statistics computed next, so
+	// they get buffers of their own; the scratch's spare ones are set
+	// aside meanwhile and handed back for the runs after it.
+	sc := a.scratch()
+	spare := *sc
+	sc.keyBufs, sc.stats, sc.vecs, sc.occArena = [2][]roleKey{}, nil, nil, nil
 	// Criterion i: differentiate roles by HTML features (value + DOM
 	// path). Annotated words are shielded from template candidacy so that
 	// too-regular data ("New York") stays extractable (paper §II.C).
 	a.assignRolesBy(func(int) func(*Occurrence) roleKey { return baseKey })
-	b.roleKeys = a.roleKeys
+	b.roleKeys, b.roles = a.roleKeys, a.roles
 	b.stats = a.computeRoleStats()
-	// The snapshot keeps the statistics buffers; detach them from this
-	// analysis's scratch so no later pass can reuse them.
-	a.sc = nil
+	sc.keyBufs, sc.flip, sc.stats, sc.vecs, sc.occArena = spare.keyBufs, spare.flip, spare.stats, spare.vecs, spare.occArena
 
 	// Group candidate roles by occurrence vector and validate each group
 	// once. Validation (ordered-and-nested, salvage) is support-
@@ -107,6 +110,7 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 		}
 		b.groups = append(b.groups, g)
 	}
+	a.releaseScratch()
 	ob.Count("eqclass.base_builds", 1)
 	ob.Event("eqclass.base", obs.A("pages", np),
 		obs.A("roles", len(b.roleKeys)), obs.A("groups", len(b.groups)))
@@ -122,42 +126,15 @@ func (b *Base) Groups() int { return len(b.groups) }
 // Table returns the symbol table the base interned its pages into.
 func (b *Base) Table() *symtab.Table { return b.tab }
 
-// Analyze runs the Algorithm 2 fixpoint from the snapshot on a fresh
-// copy of the corpus, so one base serves any number of runs (the
-// support-variation loop, concurrent callers). p may vary Support,
-// MaxIter, AnnThreshold and Workers freely; UseAnnotations must match
-// the base's (it shapes template candidacy, which the snapshot bakes
-// in). Runs after the first count as eqclass.base_reuse.
+// Analyze runs the Algorithm 2 fixpoint from the snapshot, so one base
+// serves any number of runs (the support-variation loop, concurrent
+// callers): each run reads the shared pages and refines its own copy of
+// the role assignment. p may vary Support, MaxIter, AnnThreshold and
+// Workers freely; UseAnnotations must match the base's (it shapes
+// template candidacy, which the snapshot bakes in). Runs after the first
+// count as eqclass.base_reuse.
 func (b *Base) Analyze(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Analysis {
-	p = p.normalized()
-	if b.spent.Load() {
-		// The master pages' roles were consumed by an in-place run;
-		// rebuild rather than resume from a dirty snapshot.
-		fresh := copyPages(b.pages, p.Workers)
-		return AnalyzeTable(fresh, p, hook, ob, b.tab)
-	}
-	return b.run(copyPages(b.pages, p.Workers), p, hook, ob)
-}
-
-// analyzeInPlace runs the fixpoint directly on the master pages — the
-// AnalyzeTable contract (the caller's occurrences carry the final role
-// assignment). It consumes the snapshot.
-func (b *Base) analyzeInPlace(hook func(a *Analysis) bool, ob *obs.Observer) *Analysis {
-	b.spent.Store(true)
-	return b.run(b.pages, b.params, hook, ob)
-}
-
-// copyPages duplicates the sample with independent role state (roles are
-// mutable; everything else is shared), fanning out across the worker
-// pool — re-copying the whole sample per variation would otherwise be a
-// sequential stretch between parallel stages.
-func copyPages(pages [][]*Occurrence, workers int) [][]*Occurrence {
-	fresh := make([][]*Occurrence, len(pages))
-	// A nil context never cancels, so every page is copied.
-	parallel.ForEachCtx(nil, workers, len(pages), func(i int) {
-		fresh[i] = CopyPage(pages[i])
-	})
-	return fresh
+	return b.run(p.normalized(), hook, ob)
 }
 
 // shard materializes the first-round class set for one support value
@@ -207,22 +184,29 @@ func (b *Base) shard(a *Analysis, support int) []*EQ {
 // fixpoint. The first find-EQs round resumes from the snapshot (shard);
 // every later round runs live on the renumbered roles. The abort check
 // of §III.E runs between iterations via the hook.
-func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Analysis {
+func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Analysis {
 	if b.uses.Add(1) > 1 {
 		ob.Count("eqclass.base_reuse", 1)
 	}
-	a := &Analysis{Pages: pages, params: p, obs: ob, tab: b.tab}
-	a.roleKeys = b.roleKeys
+	a := &Analysis{Pages: b.pages, params: p, obs: ob, tab: b.tab}
+	a.roleKeys, a.roles = b.roleKeys, slices.Clone(b.roles)
 	a.pageOff = b.pageOff
 	ob.Event("eqclass.step", obs.A("step", "i-html"), obs.A("roles", a.roleCount()))
 
 	aborted := false
 	generation := 0
 	fromBase := true
+	// Every differentiation step refines the role partition (roleKey.prev),
+	// so each changed step adds at least one role and the loops reach
+	// their fixpoint within as many steps as there are occurrences.
+	// MaxIter is only a safety bound: a run that reaches it with roles
+	// still changing is marked Capped.
+	changedOuter := false
 	for iter := 0; iter < p.MaxIter; iter++ {
 		a.Iterations = iter + 1
-		changedOuter := false
+		changedOuter = false
 		// Inner fixpoint: EQs + non-conflicting annotations.
+		changed := false
 		for inner := 0; inner < p.MaxIter; inner++ {
 			if fromBase {
 				a.EQs = b.shard(a, p.Support)
@@ -242,7 +226,12 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 				break
 			}
 			generation++
-			changed := a.differentiate(false, generation)
+			changed = a.differentiate(false, generation)
+			// Hand the CPU on between rounds, as the per-page stages do
+			// between pages (parallel.ForEachCtx): a run on a server's
+			// request goroutine would otherwise keep it through every
+			// round until preempted.
+			runtime.Gosched()
 			// Steps ii-iii run fused: positional (EQ + ordinal) keys and
 			// non-conflicting annotation labels in one recomputation.
 			ob.Event("eqclass.step", obs.A("step", "ii-iii-positional+nonconflicting"),
@@ -256,6 +245,9 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 		}
 		if aborted {
 			break
+		}
+		if changed {
+			a.Capped = true
 		}
 		// Conflicting annotations.
 		if p.UseAnnotations {
@@ -272,6 +264,13 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 			break
 		}
 	}
+	if changedOuter && !aborted {
+		a.Capped = true
+	}
+	if a.Capped {
+		ob.Count("eqclass.fixpoint_capped", 1)
+		ob.Event("eqclass.fixpoint_capped", obs.A("iterations", a.Iterations), obs.A("max_iter", p.MaxIter))
+	}
 	if !aborted {
 		a.EQs = a.findEQs()
 	}
@@ -280,8 +279,8 @@ func (b *Base) run(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool,
 	// hierarchy.
 	computeDescOrdinals(a)
 	ob.Count("eqclass.conflicts", int64(a.Conflicts))
-	// Release the per-run working state (and the statistics that view
-	// into it) so a finished analysis does not pin it.
-	a.sc, a.stats = nil, nil
+	// Hand the working state (and the statistics that view into it) to
+	// the next run, so a finished analysis does not pin it.
+	a.releaseScratch()
 	return a
 }

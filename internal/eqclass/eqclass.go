@@ -24,7 +24,10 @@ type Params struct {
 	// AnnThreshold is the generalization threshold for incomplete or
 	// conflicting annotations (0.7 in the paper).
 	AnnThreshold float64
-	// MaxIter bounds the outer fixpoint loop.
+	// MaxIter bounds the outer fixpoint loop and each inner one. It is a
+	// safety bound only: differentiation refines roles, so the loops
+	// reach their fixpoint on their own (a run cut by the bound is
+	// marked Analysis.Capped).
 	MaxIter int
 	// UseAnnotations enables the semantic criteria. Disabling it yields
 	// the pure ExAlg-style baseline behaviour.
@@ -116,7 +119,9 @@ func (e *EQ) String() string {
 
 // Analysis is the result of running Algorithm 2 over a page sample.
 type Analysis struct {
-	// Pages holds the token sequences, with final role assignments.
+	// Pages holds the token sequences. They are shared with the Base the
+	// analysis ran from and never written: the role assignment lives in
+	// the analysis (see Role).
 	Pages [][]*Occurrence
 	// EQs are the valid equivalence classes, in discovery order.
 	EQs []*EQ
@@ -125,6 +130,9 @@ type Analysis struct {
 	Conflicts int
 	// Iterations is the number of outer-loop iterations performed.
 	Iterations int
+	// Capped reports that the fixpoint loop stopped at Params.MaxIter
+	// with roles still changing rather than at its fixpoint.
+	Capped bool
 
 	params Params
 	// tab interns token values, paths, and annotation labels for this
@@ -132,6 +140,10 @@ type Analysis struct {
 	tab *symtab.Table
 	// roleKeys maps role id to its structural key.
 	roleKeys []roleKey
+	// roles holds every occurrence's current role id, flat in the
+	// pageOff layout. Each run owns its copy, so runs of one Base share
+	// the pages themselves.
+	roles []int32
 	// profiles holds per-class slot profiles, keyed by EQ id (filled by
 	// BuildHierarchy).
 	profiles map[int][]SlotProfile
@@ -150,6 +162,17 @@ type Analysis struct {
 
 // roleCount returns the number of distinct roles currently assigned.
 func (a *Analysis) roleCount() int { return len(a.roleKeys) }
+
+// Role returns the occurrence's current role id; o must belong to
+// a.Pages.
+func (a *Analysis) Role(o *Occurrence) int {
+	a.roleIDs()
+	return a.role(o)
+}
+
+// role is Role for the analysis passes, which run after roleIDs set the
+// assignment up.
+func (a *Analysis) role(o *Occurrence) int { return int(a.roles[a.pageOff[o.Page]+o.Pos]) }
 
 // Table returns the symbol table the analysis interned its pages into.
 func (a *Analysis) Table() *symtab.Table { return a.tab }
@@ -174,26 +197,29 @@ func Analyze(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool) *Anal
 // one). Occurrences already carrying symbols must have been interned
 // against the same table; they are not re-interned.
 // It is the staged core run end to end for a single support value: build
-// the per-corpus Base snapshot, then run the fixpoint in place on the
-// caller's pages (their occurrences carry the final role assignment).
-// Callers that vary the support should build the Base once and call its
-// Analyze per value instead.
+// the per-corpus Base snapshot, then run the fixpoint from it. Callers
+// that vary the support should build the Base once and call its Analyze
+// per value instead.
 func AnalyzeTable(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool, ob *obs.Observer, tab *symtab.Table) *Analysis {
 	b := NewBase(pages, p, ob, tab)
-	return b.analyzeInPlace(hook, ob)
+	return b.run(b.params, hook, ob)
 }
 
 // roleKey is the comparable role-differentiation key. kind/val/pth are
 // the HTML-feature base (criterion i); gen/eq/slot/ord record the
 // positional refinement of criterion (ii), tagged with the generation so
 // stale keys from earlier class ids cannot collide; ann is the interned
-// annotation label of criteria (iii)/(iv), symtab.None when absent.
+// annotation label of criteria (iii)/(iv), symtab.None when absent. prev
+// is the occurrence's role before the differentiation step that built
+// the key: two occurrences of different roles never share a key, so a
+// step can split roles but never merge them (DESIGN §16).
 type roleKey struct {
 	kind          TokKind
 	val, pth      symtab.Sym
 	gen           int32
 	eq, slot, ord int32
 	ann           symtab.Sym
+	prev          int32
 }
 
 // appendLegacy appends the historical string form of a role key
@@ -472,7 +498,7 @@ func (a *Analysis) validateEQ(roles []int, stats []roleStat) *EQ {
 			sc.sigma = sigma
 		}
 		for i, o := range occs {
-			if o.role != sigma[i%k].role {
+			if a.role(o) != a.role(sigma[i%k]) {
 				return nil
 			}
 			pos = append(pos, o.Pos)
@@ -502,7 +528,7 @@ func (a *Analysis) validateEQ(roles []int, stats []roleStat) *EQ {
 	}
 	descs := make([]Desc, k)
 	for i, o := range sigma {
-		sigmaRoles[i] = o.role
+		sigmaRoles[i] = a.role(o)
 		descs[i] = DescOf(o)
 	}
 	return &EQ{Roles: sigmaRoles, Descs: descs, Vector: vec, Tuples: tuples}
@@ -664,7 +690,10 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 	// Recompute keys: frozen roles keep their previous key modulo the
 	// annotation label; free occurrences get base + scope/ordinal +
 	// annotation label, tagged with the generation so stale keys from
-	// earlier class ids cannot collide. Each worker gets its own ordinal
+	// earlier class ids cannot collide. Every key carries the
+	// occurrence's current role (prev), so the step refines the
+	// partition: a split made in one round stays made, and the fixpoint
+	// loop terminates (DESIGN §16). Each worker gets its own ordinal
 	// counters — they are page-scoped (ordScope carries the page), so
 	// page-aligned chunks count exactly like one sequential pass, and
 	// clearing them at each page boundary changes no count.
@@ -682,16 +711,19 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 			if labels != nil {
 				ann = labels[a.pageOff[o.Page]+o.Pos]
 			}
-			if frozen[o.role] {
-				k := a.roleKeys[o.role]
+			role := a.role(o)
+			if frozen[role] {
+				k := a.roleKeys[role]
 				k.ann = ann
+				k.prev = int32(role)
 				return k
 			}
 			in := scopes[o.Page][o.Pos]
 			k := baseKey(o)
+			k.prev = int32(role)
 			if in.eq >= 0 {
-				m := minPerSlot[rsKey{o.role, in.eq, in.slot}]
-				os := ordScope{o.Page, in.eq, in.tuple, in.slot, o.role}
+				m := minPerSlot[rsKey{role, in.eq, in.slot}]
+				os := ordScope{o.Page, in.eq, in.tuple, in.slot, role}
 				ordinalSeen[os]++
 				ord := ordinalSeen[os]
 				if ord > m {
@@ -734,12 +766,14 @@ func (a *Analysis) slotMinima(scopes [][]scope, frozen []bool) map[rsKey]int {
 			aggs := sc.aggs[w]
 			clear(aggs)
 			for pi := c.Lo; pi < c.Hi; pi++ {
-				for i, o := range a.Pages[pi] {
+				roles := a.roles[a.pageOff[pi]:a.pageOff[pi+1]]
+				for i := range a.Pages[pi] {
 					in := scopes[pi][i]
-					if in.eq < 0 || frozen[o.role] {
+					role := int(roles[i])
+					if in.eq < 0 || frozen[role] {
 						continue
 					}
-					k := rsKey{o.role, in.eq, in.slot}
+					k := rsKey{role, in.eq, in.slot}
 					ag, ok := aggs[k]
 					if !ok {
 						aggs[k] = slotAgg{page: int32(pi), tuple: int32(in.tuple), count: 1, min: -1}

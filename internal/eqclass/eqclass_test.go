@@ -167,7 +167,7 @@ func TestAnalyzeDifferentiatesDivRoles(t *testing.T) {
 	roles := make(map[int]bool)
 	for _, o := range a.Pages[0] {
 		if o.Kind == KindStartTag && o.Value == "div" {
-			roles[o.Role()] = true
+			roles[a.Role(o)] = true
 		}
 	}
 	if len(roles) < 3 {
@@ -209,7 +209,7 @@ func TestTooRegularDataShielded(t *testing.T) {
 	}
 	for _, page := range a.Pages {
 		for _, o := range page {
-			if o.Kind == KindWord && (o.Value == "york") && o.Annotated() && sepRoles[o.Role()] {
+			if o.Kind == KindWord && (o.Value == "york") && o.Annotated() && sepRoles[a.Role(o)] {
 				t.Errorf("annotated word %q became a template separator", o.Value)
 			}
 		}

@@ -385,9 +385,10 @@ func computeSlotProfiles(a *Analysis) {
 		}
 	}
 	scopes := a.computeScopes()
+	off, roles := a.layout(), a.roleIDs()
 	for pi, page := range a.Pages {
 		for i, o := range page {
-			if o.role < n && sepRoles[o.role] {
+			if r := int(roles[off[pi]+i]); r < n && sepRoles[r] {
 				continue
 			}
 			in := scopes[pi][i]

@@ -43,18 +43,19 @@ func (a *Analysis) initLayout() {
 // left-to-right into one global list, whose order depends on chunk
 // boundaries — but the *set* of distinct keys does not, and the final
 // numbering is assigned by sorting that set on the legacy string form
-// (with a full field-wise tie-break for the pathological case of two
-// distinct keys composing the same string). The sorted numbering is
-// therefore a pure function of the key set, independent of chunking.
+// (with a full field-wise tie-break for distinct keys composing the same
+// string, see keyCompare). The sorted numbering is therefore a pure
+// function of the key set, independent of chunking.
 //
 // Like its sequential predecessor, it reports whether the induced
 // partition of occurrences changed — ids may be relabelled freely (keys
 // carry generation tags), so change is detected as a broken old↔new
-// bijection, which is order-independent. Every working buffer but the
-// new role-key list comes from the run's scratch.
+// bijection, which is order-independent. Every working buffer, the new
+// role-key list included, comes from the run's scratch.
 func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) bool {
 	np := len(a.Pages)
 	off := a.layout()
+	roles := a.roleIDs() // before the fan-out: key functions read roles
 	sc := a.scratch()
 	sc.perOcc = resize(sc.perOcc, off[np])
 	perOcc := sc.perOcc
@@ -135,7 +136,9 @@ func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) 
 	sc.perm = perm
 	rank := resize(sc.rank, len(keys))
 	sc.rank = rank
-	sorted := make([]roleKey, len(keys))
+	sc.flip ^= 1
+	sorted := resize(sc.keyBufs[sc.flip], len(keys))
+	sc.keyBufs[sc.flip] = sorted
 	for newID, old := range perm {
 		rank[old] = int32(newID)
 		sorted[newID] = keys[old]
@@ -148,21 +151,9 @@ func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) 
 
 	// Commit pass: rewrite roles in page order, tracking the old↔new
 	// bijection. The boolean outcome is a property of the two partitions,
-	// not of visit order.
-	oldRoles := len(a.roleKeys)
-	if oldRoles == 0 {
-		// Initial assignment: no role keys yet, but occurrences may carry
-		// stale ids from an earlier analysis (pages copied off a consumed
-		// base) — size the bijection off what is actually there.
-		oldRoles = 1
-		for _, page := range a.Pages {
-			for _, o := range page {
-				if o.role >= oldRoles {
-					oldRoles = o.role + 1
-				}
-			}
-		}
-	}
+	// not of visit order. The initial assignment starts from every
+	// occurrence in role 0.
+	oldRoles := max(len(a.roleKeys), 1)
 	sc.oldToNew = resize(sc.oldToNew, oldRoles)
 	sc.newToOld = resize(sc.newToOld, len(sorted))
 	oldToNew, newToOld := sc.oldToNew, sc.newToOld
@@ -180,25 +171,23 @@ func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) 
 			w++
 		}
 		rm := remap[w]
-		gi := off[pi]
-		for _, o := range page {
-			r := int(rm[perOcc[gi]])
-			gi++
-			if n := oldToNew[o.role]; n >= 0 {
+		for gi := off[pi]; gi < off[pi]+len(page); gi++ {
+			r, prev := int(rm[perOcc[gi]]), int(roles[gi])
+			if n := oldToNew[prev]; n >= 0 {
 				if n != r {
 					changed = true
 				}
 			} else {
-				oldToNew[o.role] = r
+				oldToNew[prev] = r
 			}
 			if old := newToOld[r]; old >= 0 {
-				if old != o.role {
+				if old != prev {
 					changed = true
 				}
 			} else {
-				newToOld[r] = o.role
+				newToOld[r] = prev
 			}
-			o.role = r
+			roles[gi] = int32(r)
 		}
 	}
 	a.roleKeys = sorted
@@ -209,9 +198,10 @@ func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) 
 }
 
 // keyCompare is the deterministic field-wise tie-break for role keys
-// whose legacy strings collide (possible only when a path or label
-// itself contains the separator sequences). It keeps the sort total so
-// the numbering cannot depend on chunk boundaries.
+// whose legacy strings collide: keys that differ only in prev, which the
+// legacy form leaves out, and the pathological case of a path or label
+// that itself contains the separator sequences. It keeps the sort total
+// so the numbering cannot depend on chunk boundaries.
 func keyCompare(x, y roleKey) int {
 	if c := cmp.Compare(x.kind, y.kind); c != 0 {
 		return c
@@ -234,7 +224,10 @@ func keyCompare(x, y roleKey) int {
 	if c := cmp.Compare(x.ord, y.ord); c != 0 {
 		return c
 	}
-	return cmp.Compare(x.ann, y.ann)
+	if c := cmp.Compare(x.ann, y.ann); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.prev, y.prev)
 }
 
 // computeRoleStats aggregates per-role occurrence vectors, page
@@ -256,6 +249,8 @@ func (a *Analysis) computeRoleStats() []roleStat {
 	for r := range stats {
 		stats[r] = roleStat{vector: vecs[r*np : (r+1)*np : (r+1)*np], cand: true}
 	}
+	roles := a.roleIDs()
+	off := a.pageOff
 	nw := a.workers(np)
 	sc.notCand = growRows(sc.notCand, nw)
 	sc.cursors = growRows(sc.cursors, nw)
@@ -267,10 +262,12 @@ func (a *Analysis) computeRoleStats() []roleStat {
 			clear(notCand)
 			sc.notCand[w] = notCand
 			for pi := c.Lo; pi < c.Hi; pi++ {
-				for _, o := range a.Pages[pi] {
-					vecs[o.role*np+pi]++
+				roles := roles[off[pi]:off[pi+1]]
+				for i, o := range a.Pages[pi] {
+					r := roles[i]
+					vecs[int(r)*np+pi]++
 					if !a.templateCandidate(o) {
-						notCand[o.role] = true
+						notCand[r] = true
 					}
 				}
 			}
@@ -319,9 +316,11 @@ func (a *Analysis) computeRoleStats() []roleStat {
 					cur[r] = base
 				}
 				for pi := c.Lo; pi < c.Hi; pi++ {
-					for _, o := range a.Pages[pi] {
-						occArena[cur[o.role]] = o
-						cur[o.role]++
+					roles := roles[off[pi]:off[pi+1]]
+					for i, o := range a.Pages[pi] {
+						r := roles[i]
+						occArena[cur[r]] = o
+						cur[r]++
 					}
 				}
 				return struct{}{}, nil

@@ -6,12 +6,15 @@ import (
 )
 
 // scratch is the working state of one analysis run, reused by every
-// round of its fixpoint instead of being rebuilt per round. It belongs
-// to the Analysis, never to the shared Base (Base serves concurrent
-// runs), and Base.run drops it on return, so a finished analysis — and
-// any wrapper holding one — does not pin it. Nothing in it outlives the
-// pass that fills it: classes copy what they keep (validateEQ), and the
-// Base keeps its snapshot buffers only from an analysis it discards.
+// round of its fixpoint instead of being rebuilt per round, and by the
+// runs after it through spareScratch: a wrap runs one analysis per
+// support value, and a daemon wraps source after source, so regrowing
+// these maps and buffers for every run would be most of what a converged
+// analysis allocates. A scratch belongs to one Analysis at a time, never
+// to the shared Base (Base serves concurrent runs). Nothing in it
+// outlives the pass that fills it: classes copy what they keep
+// (validateEQ), and what an analysis or a Base keeps — the final role
+// keys, the snapshot statistics — is detached from the scratch first.
 type scratch struct {
 	// computeScopes: one flat row buffer indexed through pageOff, its
 	// per-page row headers, and the per-page gap lists.
@@ -37,6 +40,11 @@ type scratch struct {
 	localKeys [][]roleKey
 	idOf      map[roleKey]int32
 	keys      []roleKey
+	// keyBufs holds the sorted role keys of the last two assignments:
+	// keyBufs[flip] is the analysis's current roleKeys, which frozen
+	// roles read while the next assignment fills keyBufs[flip^1].
+	keyBufs   [2][]roleKey
+	flip      int
 	remap     [][]int32
 	legacy    []byte
 	legacyOff []int
@@ -79,13 +87,51 @@ type scratch struct {
 	pos   []int
 }
 
-// scratch returns the run's scratch, creating it on first use (Base.run
-// releases it on return; hand-built analyses get one lazily).
+// spareScratch holds released scratches for the next analysis runs,
+// kept across garbage collections. A sync.Pool would drop them at every
+// collection, so how much a run allocated — and so the collections it
+// caused — would depend on when the last one ran. Four covers the
+// analyses a process on a few CPUs runs at once (a server wraps on its
+// request goroutines) while bounding what idle spares hold, a few
+// hundred kilobytes each at the corpus's sample sizes.
+var spareScratch = make(chan *scratch, 4)
+
+// scratch returns the run's scratch, taking a spare one on first use
+// (Base.run and NewBase release it; hand-built analyses get one lazily
+// and never return it).
 func (a *Analysis) scratch() *scratch {
 	if a.sc == nil {
-		a.sc = &scratch{}
+		select {
+		case a.sc = <-spareScratch:
+		default:
+			a.sc = new(scratch)
+		}
 	}
 	return a.sc
+}
+
+// releaseScratch hands the analysis's scratch back to spareScratch. The
+// current role keys stay with the analysis (their buffer leaves the
+// scratch), and so do the statistics that view into it (a.stats is
+// dropped). Every slot that points outside the scratch — occurrences,
+// classes — is cleared, so a spare scratch pins no page or DOM tree;
+// the pointer-free buffers and the maps keep their capacity.
+func (a *Analysis) releaseScratch() {
+	sc := a.sc
+	if sc == nil {
+		return
+	}
+	a.sc, a.stats = nil, nil
+	sc.keyBufs[sc.flip] = nil
+	clear(sc.stats[:cap(sc.stats)])
+	clear(sc.occArena[:cap(sc.occArena)])
+	clear(sc.occs[:cap(sc.occs)])
+	clear(sc.sigma[:cap(sc.sigma)])
+	clear(sc.byCov[:cap(sc.byCov)])
+	select {
+	case spareScratch <- sc:
+	default: // enough spares already; let this one go
+	}
 }
 
 // layout returns the flat occurrence layout, computing it on first use
@@ -95,6 +141,15 @@ func (a *Analysis) layout() []int {
 		a.initLayout()
 	}
 	return a.pageOff
+}
+
+// roleIDs returns the flat role assignment, starting every occurrence
+// in role 0 for an analysis built without one.
+func (a *Analysis) roleIDs() []int32 {
+	if off := a.layout(); len(a.roles) != off[len(a.Pages)] {
+		a.roles = make([]int32, off[len(a.Pages)])
+	}
+	return a.roles
 }
 
 // workers returns the number of chunks parallel.MapWorkersCtx splits n

@@ -2,6 +2,7 @@ package eqclass
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func analysisFingerprint(a *Analysis) string {
 	}
 	for _, page := range a.Pages {
 		for _, o := range page {
-			fmt.Fprintf(&sb, "%d ", o.role)
+			fmt.Fprintf(&sb, "%d ", a.Role(o))
 		}
 		sb.WriteByte('\n')
 	}
@@ -52,14 +53,14 @@ func TestBaseAnalyzeMatchesMonolithAcrossSupportsAndWorkers(t *testing.T) {
 		p := DefaultParams()
 		p.Support = support
 		p.Workers = 1
-		a := AnalyzeTable(copyPages(pages, 1), p, nil, nil, nil)
+		a := AnalyzeTable(copyPages(pages), p, nil, nil, nil)
 		refs[support] = analysisFingerprint(a)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := DefaultParams()
 		p.Support = 3 // the base's validation floor; support=2 resumes below it
 		p.Workers = workers
-		base := NewBase(copyPages(pages, 1), p, nil, nil)
+		base := NewBase(copyPages(pages), p, nil, nil)
 		for support := 2; support <= 5; support++ {
 			pp := p
 			pp.Support = support
@@ -72,19 +73,38 @@ func TestBaseAnalyzeMatchesMonolithAcrossSupportsAndWorkers(t *testing.T) {
 	}
 }
 
-// A base whose master pages were consumed by an in-place run must still
-// serve Analyze calls correctly (by rebuilding from scratch).
-func TestSpentBaseStillAnalyzes(t *testing.T) {
+// copyPages duplicates a tokenized sample, so each analysis below can
+// intern its own copy into a table of its own.
+func copyPages(pages [][]*Occurrence) [][]*Occurrence {
+	fresh := make([][]*Occurrence, len(pages))
+	for i, page := range pages {
+		fresh[i] = CopyPage(page)
+	}
+	return fresh
+}
+
+// Runs of one Base share its pages and only read them: a run leaves
+// every occurrence as NewBase left it, and a run after it — the
+// AnalyzeTable form included — reproduces the first run exactly.
+func TestBaseRunsLeavePagesUntouched(t *testing.T) {
 	pages := tokenizeAll(t, fig3Pages(), concertRecs())
 	p := DefaultParams()
 	p.Workers = 1
-	want := analysisFingerprint(AnalyzeTable(copyPages(pages, 1), p, nil, nil, nil))
+	want := analysisFingerprint(AnalyzeTable(copyPages(pages), p, nil, nil, nil))
 
-	base := NewBase(copyPages(pages, 1), p, nil, nil)
-	base.analyzeInPlace(nil, nil) // consume the snapshot
-	a := base.Analyze(p, nil, nil)
-	if got := analysisFingerprint(a); got != want {
-		t.Errorf("spent-base Analyze diverges:\n got:\n%s\nwant:\n%s", got, want)
+	base := NewBase(copyPages(pages), p, nil, nil)
+	before := copyPages(base.pages)
+	for run := 0; run < 2; run++ {
+		if got := analysisFingerprint(base.Analyze(p, nil, nil)); got != want {
+			t.Errorf("run %d diverges from AnalyzeTable:\n got:\n%s\nwant:\n%s", run, got, want)
+		}
+		for pi, page := range base.pages {
+			for i, o := range page {
+				if !reflect.DeepEqual(*o, *before[pi][i]) {
+					t.Fatalf("run %d wrote page %d token %d: %+v, was %+v", run, pi, i, *o, *before[pi][i])
+				}
+			}
+		}
 	}
 }
 
@@ -96,13 +116,13 @@ func TestBaseAnalyzeConcurrentMatchesSequential(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = 2
 	want := make(map[int]string)
-	seq := NewBase(copyPages(pages, 1), p, nil, nil)
+	seq := NewBase(copyPages(pages), p, nil, nil)
 	for support := 3; support <= 5; support++ {
 		pp := p
 		pp.Support = support
 		want[support] = analysisFingerprint(seq.Analyze(pp, nil, nil))
 	}
-	base := NewBase(copyPages(pages, 1), p, nil, nil)
+	base := NewBase(copyPages(pages), p, nil, nil)
 	got := make([]string, 9)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -127,7 +147,7 @@ func TestBaseReuseCounter(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = 1
 	ob := obs.New()
-	base := NewBase(copyPages(pages, 1), p, ob, nil)
+	base := NewBase(copyPages(pages), p, ob, nil)
 	for support := 3; support <= 5; support++ {
 		pp := p
 		pp.Support = support
@@ -356,7 +376,7 @@ func TestBaseAnalyzeHookAbortDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		pp := p
 		pp.Workers = workers
-		base := NewBase(copyPages(pages, 1), pp, nil, nil)
+		base := NewBase(copyPages(pages), pp, nil, nil)
 		calls := 0
 		a := base.Analyze(pp, func(*Analysis) bool {
 			calls++

@@ -10,6 +10,7 @@ package eqclass
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"objectrunner/internal/annotate"
 	"objectrunner/internal/dom"
@@ -64,12 +65,7 @@ type Occurrence struct {
 	// symbols, never the strings.
 	Val symtab.Sym
 	Pth symtab.Sym
-
-	role int // current role id, refined by Algorithm 2
 }
-
-// Role returns the occurrence's current role id.
-func (o *Occurrence) Role() int { return o.role }
 
 // Annotated reports whether the occurrence carries at least one
 // annotation type.
@@ -245,12 +241,15 @@ func TokenizeLookupPage(tab *symtab.Table, root *dom.Node, page int) []*Occurren
 
 // tokenizeArena walks the region and lays the token occurrences out in
 // one contiguous arena, leaving Page/Pos/Val/Pth for the caller to fill.
+// The arena is sized by a counting pass first: appending into a growing
+// arena allocated about three times the final size.
 func tokenizeArena(root *dom.Node, pa *annotate.PageAnnotations) []Occurrence {
 	base := ""
 	if root.Parent != nil {
 		base = root.Parent.Path()
 	}
-	var arena []Occurrence
+	arena := make([]Occurrence, 0, countTokens(root))
+	var words []string // the current text node's words, reused
 	var walk func(n *dom.Node, parentPath string)
 	walk = func(n *dom.Node, parentPath string) {
 		switch n.Type {
@@ -268,7 +267,8 @@ func tokenizeArena(root *dom.Node, pa *annotate.PageAnnotations) []Occurrence {
 			if pa != nil && parent != nil {
 				wordTypes = valueWordTypes(pa.Anns[parent])
 			}
-			for _, w := range strings.Fields(n.Data) {
+			words = appendFields(words[:0], n.Data)
+			for _, w := range words {
 				arena = append(arena, Occurrence{
 					Kind:  KindWord,
 					Value: strings.ToLower(w),
@@ -303,6 +303,50 @@ func tokenizeArena(root *dom.Node, pa *annotate.PageAnnotations) []Occurrence {
 	return arena
 }
 
+// countTokens returns the number of occurrences tokenizeArena lays out
+// for the subtree: a start and an end tag per element, one word per
+// field of each text node.
+func countTokens(n *dom.Node) int {
+	switch n.Type {
+	case dom.TextNode:
+		words, _ := dom.FieldStats(n.Data)
+		return words
+	case dom.ElementNode:
+		c := 2
+		for _, ch := range n.Children {
+			c += countTokens(ch)
+		}
+		return c
+	case dom.DocumentNode:
+		c := 0
+		for _, ch := range n.Children {
+			c += countTokens(ch)
+		}
+		return c
+	}
+	return 0
+}
+
+// appendFields appends the fields of s, as strings.Fields splits them,
+// to dst.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
 // finishArena stamps page/position ids and builds the pointer slice over
 // the arena.
 func finishArena(arena []Occurrence, page int) []*Occurrence {
@@ -317,7 +361,7 @@ func finishArena(arena []Occurrence, page int) []*Occurrence {
 
 // CopyPage duplicates a page's occurrences into a fresh arena. The copies
 // share the immutable strings and annotation slices but have independent
-// role state, so one tokenization can feed several analysis runs.
+// symbols, so one tokenization can be interned into several tables.
 func CopyPage(page []*Occurrence) []*Occurrence {
 	arena := make([]Occurrence, len(page))
 	out := make([]*Occurrence, len(page))

@@ -1,6 +1,8 @@
 package eqclass
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"objectrunner/internal/annotate"
@@ -143,5 +145,21 @@ func TestRemapSymsRewritesThroughMerge(t *testing.T) {
 	}
 	if canon.Len() != seqTab.Len() {
 		t.Fatalf("merged table %d symbols, sequential %d", canon.Len(), seqTab.Len())
+	}
+}
+
+// The tokenizer splits text nodes with appendFields and sizes its arena
+// with countTokens; both agree with strings.Fields.
+func TestAppendFieldsMatchesFields(t *testing.T) {
+	var buf []string
+	for _, s := range []string{"", " ", "a", " a ", "a  b", "a\tb\nc", " a b　", "a\u0085b", "x \xff y", "\xff\xfe"} {
+		buf = appendFields(buf[:0], s)
+		if want := strings.Fields(s); !slices.Equal(buf, want) {
+			t.Errorf("appendFields(%q) = %q, want %q", s, buf, want)
+		}
+	}
+	page := clean.Page(fig3Pages()[1])
+	if got, want := countTokens(page), len(TokenizePage(page, nil, 0)); got != want {
+		t.Errorf("countTokens = %d, TokenizePage laid out %d", got, want)
 	}
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"objectrunner/internal/obs"
 	"objectrunner/internal/sitegen"
 	"objectrunner/internal/wrapper"
 )
@@ -268,5 +271,67 @@ func TestFormatTable2And3(t *testing.T) {
 	rows2 := []Table2Row{{Domain: "x", SelPc: 0.8, SelPp: 0.9, RandPc: 0.6, RandPp: 0.7}}
 	if !strings.Contains(FormatTable2(rows2), "TABLE II") {
 		t.Error("table 2 formatting")
+	}
+}
+
+// Algorithm 2 reaches its fixpoint on every source of the corpus: no
+// analysis run stops at the MaxIter safety bound, so raising the bound
+// from 10 to 20 changes neither any source's report nor any extracted
+// object. A bound of 1 does cut runs short, and the counter and the
+// report say so.
+func TestFixpointConvergesOnCorpus(t *testing.T) {
+	e := testEnv(t)
+	infer := func(dd *sitegen.DomainData, src *sitegen.Source, maxIter int, ob *obs.Observer) string {
+		cfg := wrapper.DefaultConfig()
+		cfg.EQ.MaxIter = maxIter
+		cfg.Obs = ob
+		w := wrapper.Infer(src.Pages, dd.SOD, e.regs[dd.Spec.Name], e.B.KB, cfg)
+		var sb strings.Builder
+		sb.WriteString(w.Report.String())
+		if !w.Aborted {
+			per, err := w.ExtractStreamBatchContext(context.Background(), src.HTML)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, objs := range per {
+				for _, o := range objs {
+					fmt.Fprintf(&sb, "p%d %s\n", pi, o)
+				}
+			}
+		}
+		return sb.String()
+	}
+	ob := obs.New()
+	sources := 0
+	for _, dd := range e.B.Domains {
+		for _, src := range dd.Sources {
+			sources++
+			at10 := infer(dd, src, 10, ob)
+			if at20 := infer(dd, src, 20, ob); at20 != at10 {
+				t.Errorf("%s/%s: MaxIter 20 differs from MaxIter 10:\n%s\nvs\n%s", dd.Spec.Name, src.Spec.Name, at20, at10)
+			}
+			if strings.Contains(at10, "capped") {
+				t.Errorf("%s/%s: a variation is marked capped:\n%s", dd.Spec.Name, src.Spec.Name, at10)
+			}
+		}
+	}
+	if sources == 0 {
+		t.Fatal("empty corpus")
+	}
+	if n := ob.Snapshot().Counters["eqclass.fixpoint_capped"]; n != 0 {
+		t.Errorf("eqclass.fixpoint_capped = %d over the corpus, want 0", n)
+	}
+
+	capped := obs.New()
+	dd := domain(t, e, "concerts")
+	src, _, err := e.B.FindSource("concerts", "upcoming.yahoo (list)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report := infer(dd, src, 1, capped); !strings.Contains(report, "(capped: no fixpoint)") {
+		t.Errorf("MaxIter 1 report does not mark the cut:\n%s", report)
+	}
+	if capped.Snapshot().Counters["eqclass.fixpoint_capped"] == 0 {
+		t.Error("MaxIter 1 did not count eqclass.fixpoint_capped")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -93,5 +95,85 @@ func BenchmarkServeHTTP(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// wrapHTTPFixture is BenchmarkWrapHTTP's set-up, built once per process:
+// one POST /v1/wrap body per source of the default corpus at 20 pages,
+// each registering the source under its domain/name key with the SOD and
+// the knowledge base's instances of every instanceOf class as static
+// dictionaries — the registrations the end-to-end benchmark's wrap loop
+// sends.
+var wrapHTTPFixture = sync.OnceValues(func() ([]wrapBody, error) {
+	cfg := sitegen.DefaultConfig()
+	cfg.PagesPerSource = 20
+	bench, err := sitegen.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var out []wrapBody
+	for _, dd := range bench.Domains {
+		dicts := make(map[string][]apiv1.Entry)
+		for _, t := range dd.SOD.InstanceOfTypes() {
+			class := t.Recognizer.Arg
+			for _, e := range bench.KB.Instances(class) {
+				dicts[class] = append(dicts[class], apiv1.Entry{Value: e.Value, Confidence: e.Confidence})
+			}
+		}
+		for _, src := range dd.Sources {
+			key := dd.Spec.Name + "/" + src.Spec.Name
+			body, err := json.Marshal(apiv1.WrapRequest{Source: key, SOD: dd.Spec.SODText, Pages: src.HTML, Dictionaries: dicts})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, wrapBody{key: key, body: body})
+		}
+	}
+	return out, nil
+})
+
+type wrapBody struct {
+	key  string
+	body []byte
+}
+
+// BenchmarkWrapHTTP is the cold-wrap rung of the daemon: one op
+// registers and wraps every source of the default corpus (49 sources at
+// 20 pages) through the whole handler, POST /v1/wrap then DELETE
+// /v1/sources/{key}, so every wrap is cold — what a daemon pays per
+// source in CPU and, through B/op, in garbage its neighbours' requests
+// then collect. A discarded source answers 422, which is its answer, not
+// a failure.
+//
+// The garbage collector is off while the ops run (one op allocates about
+// 100 MB), after two collections that empty the standard library's pools
+// (regexp machines, JSON and fmt state): B/op stands for the collector's
+// work here. With collections mid-op those pools emptied and refilled at
+// varying points, and allocs/op moved by a few dozen from run to run;
+// this way both repeat exactly, and ns/op is the wraps' own CPU.
+func BenchmarkWrapHTTP(b *testing.B) {
+	bodies, err := wrapHTTPFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	b.ReportAllocs()
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, wb := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/wrap", bytes.NewReader(wb.body)))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusUnprocessableEntity {
+				b.Fatalf("wrap %s: status %d: %s", wb.key, rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/sources/"+escapeKeyPath(wb.key), nil))
+			if rec.Code != http.StatusNoContent {
+				b.Fatalf("delete %s: status %d: %s", wb.key, rec.Code, rec.Body)
+			}
+		}
 	}
 }

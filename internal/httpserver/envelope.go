@@ -19,13 +19,20 @@ import (
 // encoding/json's byte-by-byte scanner and its reflection on the one
 // route whose bodies are large and frequent. Errors keep writeJSON.
 
-// readBody reads the whole request body. The buffer doubles as bytes
-// arrive and is never sized from Content-Length, so a client that
-// declares a large body and then stalls costs only what it sent. A body over Config.MaxBodyBytes (the MaxBytesReader that
-// instrument installs) is answered 413 whatever it holds; any other
-// read error is a 400.
+// readBody reads the whole request body. The buffer is sized from
+// Content-Length up to presizeLimit, so a body of that size is read
+// into one allocation instead of a doubling series, while a client that
+// declares a larger body and then stalls holds at most presizeLimit
+// besides what it sent. A body over Config.MaxBodyBytes (the
+// MaxBytesReader that instrument installs) is answered 413 whatever it
+// holds; any other read error is a 400.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom wants MinRead bytes free before each read, the one
+		// that meets EOF included.
+		body.Grow(int(min(n, presizeLimit)) + bytes.MinRead)
+	}
 	if _, err := body.ReadFrom(r.Body); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
@@ -37,6 +44,65 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body.Bytes(), true
+}
+
+// presizeLimit caps the buffer readBody allocates from Content-Length
+// alone: a wrap of a few dozen pages fits, and more waits for the bytes.
+const presizeLimit = 1 << 20
+
+// decodeWrapRequest decodes a POST /v1/wrap body into req, which must be
+// the zero value: json.Unmarshal on the body's first JSON value, which
+// spares the copy of the body json.Decoder buffers. Bytes after that
+// value stay ignored, as json.Decoder ignores them. A body Unmarshal
+// rejects goes to json.Decoder, so every error text is json.Decoder's.
+func decodeWrapRequest(body []byte, req *apiv1.WrapRequest) error {
+	if end := objectEnd(body); end > 0 {
+		if json.Unmarshal(body[:end], req) == nil {
+			return nil
+		}
+		*req = apiv1.WrapRequest{}
+	}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
+
+// objectEnd returns the offset just past the JSON object body starts
+// with (after whitespace): the brace that closes its first brace,
+// counting braces and brackets outside strings. It returns 0 when body
+// does not start with an object or the object does not close; it does
+// not validate, which json.Unmarshal does on the prefix it returns.
+func objectEnd(body []byte) int {
+	i := 0
+	for i < len(body) && (body[i] == ' ' || body[i] == '\t' || body[i] == '\n' || body[i] == '\r') {
+		i++
+	}
+	if i == len(body) || body[i] != '{' {
+		return 0
+	}
+	depth, inString := 0, false
+	for ; i < len(body); i++ {
+		c := body[i]
+		if inString {
+			switch c {
+			case '\\':
+				i++
+			case '"':
+				inString = false
+			}
+			continue
+		}
+		switch c {
+		case '"':
+			inString = true
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+			if depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return 0
 }
 
 // writeBody sends an encoded 200 JSON response with its Content-Length.

@@ -36,13 +36,12 @@
 package httpserver
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -53,6 +52,7 @@ import (
 	apiv1 "objectrunner/api/v1"
 	"objectrunner/internal/cluster"
 	"objectrunner/internal/obs"
+	"objectrunner/internal/wrapper"
 )
 
 // Config tunes the server. The zero value is completed with defaults.
@@ -66,7 +66,10 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds a request body. Default 32 MiB.
 	MaxBodyBytes int64
-	// Workers is the per-request pipeline worker count (0 = one per CPU).
+	// Workers bounds each extract's fan-out over its pages (0 = one per
+	// CPU). Wraps infer on their request goroutine whatever its value:
+	// the server runs requests side by side, and a wrap that fanned out
+	// would take CPUs from the extracts beside it (DESIGN §9).
 	Workers int
 	// Store configures every registered source's wrapper cache; set
 	// Store.SpillDir to persist wrappers across restarts (the drain
@@ -300,13 +303,41 @@ func specOf(req *apiv1.WrapRequest) string {
 
 // register resolves the wrap request to a registered source, building a
 // fresh extractor + service when the source is new or its spec changed.
+// The extractor — SOD parse and dictionary compile, milliseconds per
+// source — is built outside s.mu, which every extract's lookup takes;
+// the registration then re-checks the spec under the lock, so a
+// same-spec registration that won the race meanwhile is reused (with its
+// cached wrapper), and a changed spec still invalidates the old wrapper.
 func (s *Server) register(req *apiv1.WrapRequest) (*source, error) {
 	spec := specOf(req)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if src, ok := s.sources[req.Source]; ok && src.spec == spec {
+	if src := s.lookup(req.Source); src != nil && src.spec == spec {
 		return src, nil
 	}
+	ex, err := s.newExtractor(req)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.sources[req.Source]; ok {
+		if old.spec == spec {
+			return old, nil
+		}
+		// The spec changed: the cached wrapper (memory and disk) was
+		// inferred under the old SOD/dictionaries and must not be served.
+		old.svc.Invalidate(req.Source)
+		s.obs.Count("http.sources.replaced", 1)
+	}
+	src := &source{spec: spec, sod: req.SOD, svc: objectrunner.NewService(ex, s.cfg.Store)}
+	s.sources[req.Source] = src
+	s.obs.Count("http.sources.registered", 1)
+	return src, nil
+}
+
+// newExtractor builds the extractor a registration serves with: the
+// request's SOD and its dictionaries in sorted class order, inference on
+// the request goroutine and the server's extract fan-out.
+func (s *Server) newExtractor(req *apiv1.WrapRequest) (*objectrunner.Extractor, error) {
 	opts := []objectrunner.Option{}
 	classes := make([]string, 0, len(req.Dictionaries))
 	for class := range req.Dictionaries {
@@ -326,21 +357,10 @@ func (s *Server) register(req *apiv1.WrapRequest) (*source, error) {
 	}
 	cfg := objectrunner.DefaultConfig()
 	cfg.Workers = s.cfg.Workers
+	// Wraps infer on their request goroutine; Workers bounds extraction.
+	cfg = wrapper.InferOnCaller(cfg)
 	opts = append(opts, objectrunner.WithConfig(cfg), objectrunner.WithObserver(s.obs))
-	ex, err := objectrunner.New(req.SOD, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if old, ok := s.sources[req.Source]; ok {
-		// The spec changed: the cached wrapper (memory and disk) was
-		// inferred under the old SOD/dictionaries and must not be served.
-		old.svc.Invalidate(req.Source)
-		s.obs.Count("http.sources.replaced", 1)
-	}
-	src := &source{spec: spec, sod: req.SOD, svc: objectrunner.NewService(ex, s.cfg.Store)}
-	s.sources[req.Source] = src
-	s.obs.Count("http.sources.registered", 1)
-	return src, nil
+	return objectrunner.New(req.SOD, opts...)
 }
 
 func (s *Server) lookup(key string) *source {
@@ -355,7 +375,7 @@ func (s *Server) handleWrap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req apiv1.WrapRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+	if err := decodeWrapRequest(body, &req); err != nil {
 		s.errorf(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
@@ -524,12 +544,44 @@ func wantsPrometheus(accept string) bool {
 	return false
 }
 
+// runtimeTotals are the Go runtime's garbage-collection totals the
+// metrics view exports, with their runtime/metrics sources: how often
+// the collector ran, the CPU it took and the heap bytes allocated that
+// it had to collect. Over a scrape interval they show how much of the
+// process's time went to collection, and how much of it a wrap's
+// allocations cost the requests beside it.
+var runtimeTotals = [...]struct{ name, sample string }{
+	{"go_gc_cycles_total", "/gc/cycles/total:gc-cycles"},
+	{"go_gc_cpu_seconds_total", "/cpu/classes/gc/total:cpu-seconds"},
+	{"go_heap_alloc_bytes_total", "/gc/heap/allocs:bytes"},
+}
+
+// setRuntimeTotals reads runtimeTotals into the snapshot's gauges; the
+// Prometheus form types them as counters by their _total names.
+func setRuntimeTotals(snap *obs.Snapshot) {
+	var samples [len(runtimeTotals)]metrics.Sample
+	for i, t := range runtimeTotals {
+		samples[i].Name = t.sample
+	}
+	metrics.Read(samples[:])
+	for i, t := range runtimeTotals {
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindUint64:
+			snap.SetGauge(t.name, float64(v.Uint64()))
+		case metrics.KindFloat64:
+			snap.SetGauge(t.name, v.Float64())
+		}
+	}
+}
+
 // snapshot assembles the full metrics view: the observer's counters and
 // histograms (per-source serve and store series included), plus
-// process-level gauges — uptime, build info, inflight/draining, and the
-// per-source cache occupancy.
+// process-level gauges — uptime, build info, inflight/draining, the
+// runtime's garbage-collection totals, and the per-source cache
+// occupancy.
 func (s *Server) snapshot() (obs.Snapshot, map[string]objectrunner.StoreStats) {
 	snap := s.obs.Snapshot()
+	setRuntimeTotals(&snap)
 	goVersion, revision := buildInfo()
 	snap.SetGauge("uptime_seconds", time.Since(s.start).Seconds())
 	snap.SetGauge("objectrunner_build_info", 1,

@@ -41,7 +41,13 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	gaugeFams, gaugeSeries := groupSeries(mapKeys(s.Gauges))
 	for _, base := range gaugeFams {
 		fam := promName(base)
-		writeHeader(bw, fam, "gauge")
+		// A value set whole but named as a running total (the Go
+		// runtime's, which the server reads at scrape time) is a counter.
+		kind := "gauge"
+		if strings.HasSuffix(fam, "_total") {
+			kind = "counter"
+		}
+		writeHeader(bw, fam, kind)
 		for _, key := range gaugeSeries[base] {
 			writeSample(bw, fam, labelBlock(key), formatFloat(s.Gauges[key]))
 		}

@@ -73,8 +73,11 @@ func forEach(ctx context.Context, ob *obs.Observer, workers, n int, fn func(wob 
 	}
 	if min(Workers(workers), n) == 1 {
 		// The sequential path stays a loop on the caller; c stays on
-		// its stack, so the path allocates nothing.
-		var c claims
+		// its stack, so the path allocates nothing. It yields after
+		// every item too (see claims.yield): a daemon infers on the
+		// request goroutine, and a request arriving mid-wrap then waits
+		// for one item rather than for the wrap's next preemption.
+		c := claims{yield: true}
 		return runWorker(ctx, ob, 0, n, &c, fn)
 	}
 	c := &claims{yield: true}
@@ -96,11 +99,14 @@ func forEach(ctx context.Context, ob *obs.Observer, workers, n int, fn func(wob 
 type claims struct {
 	next   atomic.Int64
 	failed atomic.Bool
-	// yield hands the CPU on after every item when several workers
-	// share the fan-out. Without it a worker keeps its CPU until the
-	// scheduler preempts it on a timer: at one CPU the allocation count
-	// of a fan-out then varies from run to run, and a request that
-	// arrives during a long wrap fan-out waits longer for a CPU.
+	// yield hands the CPU on after every item. Without it a worker
+	// keeps its CPU until the scheduler preempts it on a timer: at one
+	// CPU the allocation count of a fan-out then varies from run to run,
+	// and a request that arrives during a long wrap — fanned out or on
+	// one goroutine — waits longer for a CPU. On two CPUs a garbage
+	// collection's mark worker takes one of them for its whole phase, so
+	// a wrap that held the other until preempted stalled every request
+	// arriving meanwhile for up to 10 ms.
 	yield bool
 }
 

@@ -65,7 +65,7 @@ type Layout struct {
 
 // Compute lays out the document with the given metrics.
 func Compute(doc *dom.Node, m Metrics) *Layout {
-	l := &Layout{Boxes: make(map[*dom.Node]Box), Metrics: m}
+	l := &Layout{Boxes: make(map[*dom.Node]Box, doc.CountNodes()), Metrics: m}
 	h := l.layoutBlock(doc, 0, 0, m.ViewportWidth)
 	l.Boxes[doc] = Box{X: 0, Y: 0, W: m.ViewportWidth, H: h}
 	return l
@@ -261,7 +261,9 @@ func (f *inlineFlow) place(n *dom.Node) {
 	startLine, startX := f.lines, f.x
 	switch {
 	case n.Type == dom.TextNode:
-		f.advance(float64(len(dom.CollapseSpace(n.Data))) * f.l.Metrics.CharWidth)
+		// The collapsed text's length, without collapsing it.
+		words, bytes := dom.FieldStats(n.Data)
+		f.advance(float64(max(bytes+words-1, 0)) * f.l.Metrics.CharWidth)
 		f.anyText = true
 	case n.IsElement("br"):
 		f.lines++

@@ -22,10 +22,32 @@ type Block struct {
 	Node     *dom.Node
 	Box      render.Box
 	Children []*Block
+
+	// textLen is len(Node.Text()), summed from word counts while the
+	// tree is built (see textSize).
+	textLen int
 }
 
-// TextLen returns the length of the text contained in the block.
-func (b *Block) TextLen() int { return len(b.Node.Text()) }
+// TextLen returns the length of the text contained in the block:
+// len(b.Node.Text()), computed once by BuildTree.
+func (b *Block) TextLen() int { return b.textLen }
+
+// textSize is the collapsed text of a subtree by its word count and the
+// bytes of its words: Node.Text joins the words with single spaces, so
+// its length follows without building the string, and one pass over the
+// tree sizes every block — no candidate rebuilds its text, and no
+// ancestor re-reads what its children read.
+type textSize struct{ words, bytes int }
+
+func (t *textSize) add(u textSize) { t.words += u.words; t.bytes += u.bytes }
+
+// len returns the length of the collapsed text.
+func (t textSize) len() int {
+	if t.words == 0 {
+		return 0
+	}
+	return t.bytes + t.words - 1
+}
 
 // Walk visits b and its descendants pre-order; returning false prunes.
 func (b *Block) Walk(fn func(*Block) bool) {
@@ -53,24 +75,32 @@ func BuildTree(doc *dom.Node, l *render.Layout) *Block {
 		body = doc
 	}
 	root := &Block{Node: body, Box: l.Box(body)}
-	collectChildBlocks(body, l, root)
+	root.textLen = collectChildBlocks(body, l, root).len()
 	return root
 }
 
-func collectChildBlocks(n *dom.Node, l *render.Layout, parent *Block) {
+// collectChildBlocks appends the blocks under n to parent and returns
+// the text size of n's subtree.
+func collectChildBlocks(n *dom.Node, l *render.Layout, parent *Block) textSize {
+	var t textSize
 	for _, c := range n.Children {
-		if c.Type != dom.ElementNode {
-			continue
-		}
-		if render.IsInline(c) {
+		switch {
+		case c.Type == dom.TextNode:
+			words, bytes := dom.FieldStats(c.Data)
+			t.add(textSize{words, bytes})
+		case c.Type != dom.ElementNode:
+		case render.IsInline(c):
 			// Inline wrappers are transparent for block structure.
-			collectChildBlocks(c, l, parent)
-			continue
+			t.add(collectChildBlocks(c, l, parent))
+		default:
+			b := &Block{Node: c, Box: l.Box(c)}
+			parent.Children = append(parent.Children, b)
+			ct := collectChildBlocks(c, l, b)
+			b.textLen = ct.len()
+			t.add(ct)
 		}
-		b := &Block{Node: c, Box: l.Box(c)}
-		parent.Children = append(parent.Children, b)
-		collectChildBlocks(c, l, b)
 	}
+	return t
 }
 
 // Options tunes the main-block selection heuristic.
@@ -197,7 +227,7 @@ func FindByKey(doc *dom.Node, k Key) *dom.Node {
 		if n.Type != dom.ElementNode || n.Data != k.Tag {
 			return true
 		}
-		if n.Path() != k.Path {
+		if !n.HasPath(k.Path) {
 			return true
 		}
 		if pathMatch == nil {
@@ -309,7 +339,7 @@ func keyLess(a, b Key) bool {
 func countByKey(doc *dom.Node, k Key) int {
 	n := 0
 	doc.Walk(func(m *dom.Node) bool {
-		if m.Type == dom.ElementNode && m.Data == k.Tag && m.Path() == k.Path && m.AttrSignature() == k.AttrSig {
+		if m.Type == dom.ElementNode && m.Data == k.Tag && m.HasPath(k.Path) && m.AttrSignature() == k.AttrSig {
 			n++
 		}
 		return true

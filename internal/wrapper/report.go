@@ -13,6 +13,9 @@ type Variation struct {
 	Matches    int
 	EQs        int
 	Iterations int
+	// Capped marks a run whose fixpoint loop stopped at the MaxIter
+	// safety bound with roles still changing.
+	Capped bool
 	// Accepted marks the run the wrapper finally kept.
 	Accepted bool
 	// Reason narrates why the run was kept or rejected.
@@ -74,8 +77,12 @@ func (r *Report) String() string {
 		if v.Accepted {
 			verdict = "accepted"
 		}
-		fmt.Fprintf(&sb, "  variation support=%d: eqs=%d conflicts=%d matches=%d iterations=%d -> %s (%s)\n",
-			v.Support, v.EQs, v.Conflicts, v.Matches, v.Iterations, verdict, v.Reason)
+		capped := ""
+		if v.Capped {
+			capped = " (capped: no fixpoint)"
+		}
+		fmt.Fprintf(&sb, "  variation support=%d: eqs=%d conflicts=%d matches=%d iterations=%d%s -> %s (%s)\n",
+			v.Support, v.EQs, v.Conflicts, v.Matches, v.Iterations, capped, verdict, v.Reason)
 	}
 	if r.Aborted {
 		fmt.Fprintf(&sb, "  ABORTED at %s: %s\n", r.AbortStage, r.AbortReason)

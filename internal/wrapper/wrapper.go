@@ -53,6 +53,31 @@ type Config struct {
 	// Obs receives spans, events and metrics from every pipeline stage.
 	// Nil (the default) disables observation at near-zero cost.
 	Obs *obs.Observer
+
+	// inferOnCaller runs every inference stage on the calling goroutine;
+	// Workers then bounds extraction only (see InferOnCaller).
+	inferOnCaller bool
+}
+
+// InferOnCaller returns c set to run wrapper inference — cleaning,
+// segmentation, annotation, tokenization and Algorithm 2 — on the
+// calling goroutine, while Workers keeps bounding extraction. It is for
+// a server that wraps beside the requests it serves: there, concurrent
+// requests already occupy the CPUs, and a wrap that fanned out would
+// only take them from its neighbours (DESIGN §9). Output is the same at
+// any worker count.
+func InferOnCaller(c Config) Config {
+	c.inferOnCaller = true
+	return c
+}
+
+// InferWorkers returns the fan-out of c's inference stages: 1 under
+// InferOnCaller, Workers resolved otherwise.
+func InferWorkers(c Config) int {
+	if c.inferOnCaller {
+		return 1
+	}
+	return parallel.Workers(c.Workers)
 }
 
 // DefaultConfig mirrors the paper's experimental setup.
@@ -83,15 +108,17 @@ func (c *Config) Normalize() {
 		c.SupportMax = c.SupportMin
 	}
 	c.Workers = parallel.Workers(c.Workers)
-	// The per-stage configs inherit the pool size unless set explicitly.
-	if c.Sample.Workers == 0 {
-		c.Sample.Workers = c.Workers
+	// The per-stage configs inherit the inference pool size unless set
+	// explicitly; InferOnCaller overrides them all.
+	iw := InferWorkers(*c)
+	if c.Sample.Workers == 0 || c.inferOnCaller {
+		c.Sample.Workers = iw
 	}
-	if c.Segment.Workers == 0 {
-		c.Segment.Workers = c.Workers
+	if c.Segment.Workers == 0 || c.inferOnCaller {
+		c.Segment.Workers = iw
 	}
-	if c.EQ.Workers == 0 {
-		c.EQ.Workers = c.Workers
+	if c.EQ.Workers == 0 || c.inferOnCaller {
+		c.EQ.Workers = iw
 	}
 }
 
@@ -244,9 +271,10 @@ func InferContext(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[
 	// merges into an empty table, so its remap is always the identity and
 	// the pass is skipped.
 	sample := make([][]*eqclass.Occurrence, len(res.Sample))
+	tokWorkers := InferWorkers(cfg)
 	tokSpan := ob.Span("pipeline.tokenize",
-		obs.A("pages", len(res.Sample)), obs.A("workers", cfg.Workers))
-	locals, err := parallel.MapWorkersCtx(ctx, cfg.Workers, len(res.Sample),
+		obs.A("pages", len(res.Sample)), obs.A("workers", tokWorkers))
+	locals, err := parallel.MapWorkersCtx(ctx, tokWorkers, len(res.Sample),
 		func(ctx context.Context, _ int, c parallel.Chunk) (*symtab.Table, error) {
 			lt := symtab.New()
 			for i := c.Lo; i < c.Hi; i++ {
@@ -262,12 +290,17 @@ func InferContext(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[
 		tokSpan.End(obs.A("canceled", true))
 		return nil, err
 	}
-	tab := symtab.New()
+	// One chunk's table is already canonical: merging it into an empty
+	// table would only copy it.
+	tab := locals[0]
 	remaps := make([][]symtab.Sym, len(locals))
-	for i, lt := range locals {
-		remaps[i] = tab.Merge(lt)
+	if len(locals) > 1 {
+		tab = symtab.New()
+		for i, lt := range locals {
+			remaps[i] = tab.Merge(lt)
+		}
 	}
-	if _, err := parallel.MapWorkersCtx(ctx, cfg.Workers, len(sample),
+	if _, err := parallel.MapWorkersCtx(ctx, tokWorkers, len(sample),
 		func(_ context.Context, worker int, c parallel.Chunk) (struct{}, error) {
 			// Chunks(workers, n) is deterministic, so this fan-out sees the
 			// same ranges the tokenize fan-out produced local tables for.
@@ -320,7 +353,8 @@ func InferContext(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[
 		}
 		eqSpan := vob.Span("pipeline.eqclass", obs.A("support", support))
 		an := base.Analyze(p, hook, eqSpan.Observer())
-		eqSpan.End(obs.A("eqs", len(an.EQs)), obs.A("conflicts", an.Conflicts), obs.A("iterations", an.Iterations))
+		eqSpan.End(obs.A("eqs", len(an.EQs)), obs.A("conflicts", an.Conflicts),
+			obs.A("iterations", an.Iterations), obs.A("capped", an.Capped))
 		if err := ctx.Err(); err != nil {
 			varSpan.End(obs.A("canceled", true))
 			return nil, err
@@ -332,7 +366,7 @@ func InferContext(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[
 		r := &run{analysis: an, tmpl: tmpl, matches: matches, support: support}
 		v := Variation{
 			Support: support, Conflicts: an.Conflicts, Matches: len(matches),
-			EQs: len(an.EQs), Iterations: an.Iterations,
+			EQs: len(an.EQs), Iterations: an.Iterations, Capped: an.Capped,
 		}
 		switch {
 		case len(matches) == 0:
