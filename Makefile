@@ -53,8 +53,9 @@ check: ci
 # (a well-formed tree with nothing cleaning removes), the wrapper
 # decoder (an error, or a wrapper that encodes again), the daemon's POST
 # /v1/extract request decoder (the same request or the same error text
-# as encoding/json) and its response string escaping (the same bytes as
-# json.Marshal). go test fuzzes one target per run. Minimizing each new
+# as encoding/json), its response string escaping (the same bytes as
+# json.Marshal) and the template's slot-indexed tuple matcher (the same
+# spans as the map-keyed reference). go test fuzzes one target per run. Minimizing each new
 # input is capped at 1 s: FuzzDecode's inputs are whole wrapper payloads,
 # and at the default cap minimization took most of the 20 s. A failing
 # input is written under testdata/fuzz/<Target>/, where every plain
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeExtractRequest$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/httpserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime 20s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzMatchTuples$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/template/
 
 # orbench-check builds, vets and unit-tests the end-to-end benchmark
 # (bench/orbench). It is a module of its own, so `go build ./...` and
@@ -77,7 +79,8 @@ orbench-check:
 # bench runs every benchmark and additionally records the parallel
 # scaling run (BENCH_parallel.json), the serving-cache economics — cold
 # wrap vs cache hit vs disk load — and the daemon's in-process extract
-# handler and corpus cold wrap (BENCH_serve.json), and the allocation profiles of cold
+# handler, its serve rungs (decode, tokenize, extract, service) and
+# corpus cold wrap (BENCH_serve.json), and the allocation profiles of cold
 # inference and of cleaning one page (BENCH_alloc.json) as JSON for the perf
 # trajectory. Each JSON file is written to a temp path and renamed only
 # on success, so a failed run never truncates the previous record.
@@ -85,7 +88,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|WrapHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|ServeRungs|WrapHTTP)$$' -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
@@ -97,14 +100,14 @@ bench:
 bench-smoke:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=1x -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|WrapHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|ServeRungs|WrapHTTP)$$' -benchtime=1x -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=1x -benchmem -run XXX . > BENCH_alloc.json.tmp
 	mv BENCH_alloc.json.tmp BENCH_alloc.json
 
 # bench-guard is the perf regression gate: it re-records the parallel
-# scaling, serving (cache hit, HTTP extract handler and the daemon's
-# cold wrap of the whole corpus), cold-inference and page-cleaning
+# scaling, serving (cache hit, HTTP extract handler, its serve rungs and
+# the daemon's cold wrap of the whole corpus), cold-inference and page-cleaning
 # allocation benchmarks
 # (tmp+rename, like bench) and compares them against the committed
 # baselines under bench/baseline/ with cmd/benchguard, failing on any
@@ -129,7 +132,7 @@ GUARD_ALLOC_TOLERANCE ?= 0
 bench-guard:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_parallel.json.tmp
 	mv BENCH_parallel.json.tmp BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|ServeRungs)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > BENCH_serve.json.tmp
 	$(GO) test -json -bench='^BenchmarkWrapHTTP$$' -benchtime=1x -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX ./internal/httpserver/ >> BENCH_serve.json.tmp
 	mv BENCH_serve.json.tmp BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > BENCH_alloc.json.tmp
@@ -145,7 +148,7 @@ bench-guard:
 bench-baseline:
 	$(GO) test -json -bench='^Benchmark(WrapParallel|AnalyzeFixpoint)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_parallel.json.tmp
 	mv bench/baseline/BENCH_parallel.json.tmp bench/baseline/BENCH_parallel.json
-	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > bench/baseline/BENCH_serve.json.tmp
+	$(GO) test -json -bench='^Benchmark(ServeCache|ServeHTTP|ServeRungs)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . ./internal/httpserver/ > bench/baseline/BENCH_serve.json.tmp
 	$(GO) test -json -bench='^BenchmarkWrapHTTP$$' -benchtime=1x -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX ./internal/httpserver/ >> bench/baseline/BENCH_serve.json.tmp
 	mv bench/baseline/BENCH_serve.json.tmp bench/baseline/BENCH_serve.json
 	$(GO) test -json -bench='^Benchmark(InferAllocs|HTMLParseClean)$$' -benchtime=$(GUARD_BENCHTIME) -count=$(GUARD_COUNT) -cpu 1 -benchmem -run XXX . > bench/baseline/BENCH_alloc.json.tmp

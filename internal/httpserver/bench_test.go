@@ -2,6 +2,7 @@ package httpserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,8 +12,13 @@ import (
 	"sync"
 	"testing"
 
+	"objectrunner"
 	apiv1 "objectrunner/api/v1"
+	"objectrunner/internal/eqclass"
 	"objectrunner/internal/sitegen"
+	"objectrunner/internal/symtab"
+	"objectrunner/internal/template"
+	"objectrunner/internal/wrapper"
 )
 
 // serveHTTPFixture is BenchmarkServeHTTP's set-up, built once per
@@ -46,13 +52,14 @@ var serveHTTPFixture = sync.OnceValues(func() (*serveHTTPSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := New(Config{}).Handler()
+	srv := New(Config{})
+	h := srv.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/wrap", bytes.NewReader(wrap)))
 	if rec.Code != http.StatusOK {
 		return nil, fmt.Errorf("wrap %s: status %d: %s", key, rec.Code, rec.Body)
 	}
-	setup := &serveHTTPSetup{handler: h}
+	setup := &serveHTTPSetup{handler: h, srv: srv, key: key, sod: dd.Spec.SODText}
 	for _, pages := range [][]string{src.HTML[:3], src.HTML} {
 		body, err := json.Marshal(apiv1.ExtractRequest{Source: key, Pages: pages})
 		if err != nil {
@@ -66,6 +73,9 @@ var serveHTTPFixture = sync.OnceValues(func() (*serveHTTPSetup, error) {
 type serveHTTPSetup struct {
 	handler http.Handler
 	bodies  [][]byte // window, batch
+	srv     *Server
+	key     string // the registered source
+	sod     string // its SOD text
 }
 
 // BenchmarkServeHTTP is rung 4 of the serve ladder: one POST /v1/extract
@@ -93,6 +103,102 @@ func BenchmarkServeHTTP(b *testing.B) {
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeRungs splits BenchmarkServeHTTP/batch into the serve
+// ladder's rungs, each on the same 26 books/bn pages per op:
+//
+//   - decode: decodeExtractRequest on the batch body;
+//   - tokenize: eqclass.TokenizeLookupStream on every page, against the
+//     wrapper's frozen symbol table and block key;
+//   - extract: tokenize, then template.ExtractAllStream and the SOD's
+//     FilterByRules — one worker's whole per-page work;
+//   - service: Service.ServeExtract, which adds the store lookup and
+//     the fan-out over the extract workers.
+//
+// The gap between adjacent rungs is one layer's cost; the gap between
+// service and BenchmarkServeHTTP/batch is the handler's (middleware,
+// telemetry, the response envelope). The bottom rungs run on a copy of
+// the served wrapper, saved and decoded, with its descriptors bound
+// into a table of their own in the served wrapper's order.
+func BenchmarkServeRungs(b *testing.B) {
+	setup, err := serveHTTPFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := setup.bodies[1]
+	var req apiv1.ExtractRequest
+	if err := decodeExtractRequest(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	pages := req.Pages
+	ctx := context.Background()
+	svc := setup.srv.lookup(setup.key).svc
+	outer, err := svc.Wrapper(ctx, setup.key, pages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := objectrunner.ParseSOD(setup.sod)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := outer.Save(&saved); err != nil {
+		b.Fatal(err)
+	}
+	w, err := wrapper.Decode(&saved, s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab := symtab.New()
+	template.InternDescs(w.Template, tab)
+	tab.Freeze()
+	key := &eqclass.StreamKey{Tag: w.BlockKey.Tag, Path: w.BlockKey.Path, AttrSig: w.BlockKey.AttrSig}
+	var arena eqclass.StreamArena
+	scratch := template.NewScratch()
+	for i, p := range pages {
+		if _, ok := eqclass.TokenizeLookupStream(&arena, tab, p, key, 0); !ok {
+			b.Fatalf("page %d falls back to the tree path", i)
+		}
+	}
+	rungs := []struct {
+		name string
+		op   func()
+	}{
+		{"decode", func() {
+			var req apiv1.ExtractRequest
+			if err := decodeExtractRequest(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"tokenize", func() {
+			for _, p := range pages {
+				eqclass.TokenizeLookupStream(&arena, tab, p, key, 0)
+			}
+		}},
+		{"extract", func() {
+			for _, p := range pages {
+				toks, _ := eqclass.TokenizeLookupStream(&arena, tab, p, key, 0)
+				objs := template.ExtractAllStream(w.SOD, w.Matches, toks, scratch)
+				w.SOD.FilterByRules(objs)
+			}
+		}},
+		{"service", func() {
+			if _, err := svc.ServeExtract(ctx, setup.key, pages); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+	for _, r := range rungs {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				r.op()
 			}
 		})
 	}

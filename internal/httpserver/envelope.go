@@ -239,31 +239,50 @@ func (sc *scanner) key() (string, bool) {
 	return "", false
 }
 
-// str reads a string value. Text without escapes is copied straight out
-// of the body; a string with escapes is unescaped into sc.buf first.
+// str reads a string value. One loop walks it: a run of plain bytes is
+// copied to sc.buf whole when an escape or the closing quote ends it,
+// and escapes are decoded into sc.buf, \u00XX (how Go clients send
+// every <, > and &) without leaving the loop. A string without escapes
+// is copied straight out of the body instead.
 func (sc *scanner) str() (string, bool) {
 	if !sc.skip('"') {
 		return "", false
 	}
 	b := sc.b
-	sc.buf = sc.buf[:0]
+	buf := sc.buf[:0]
 	start, run := sc.i, sc.i // run: first body byte not yet copied to buf
 	for i := start; i < len(b); {
 		c := b[i]
-		switch {
-		case c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\':
+		if plainByte[c] {
 			i++
+			continue
+		}
+		switch {
 		case c == '"':
 			sc.i = i + 1
 			if run == start {
 				return string(b[start:i]), true
 			}
-			sc.buf = append(sc.buf, b[run:i]...)
-			return string(sc.buf), true
+			buf = append(buf, b[run:i]...)
+			sc.buf = buf
+			return string(buf), true
 		case c == '\\':
-			sc.buf = append(sc.buf, b[run:i]...)
-			n, ok := sc.unescape(b[i:])
-			if !ok {
+			buf = append(buf, b[run:i]...)
+			if i+5 < len(b) && b[i+1] == 'u' && b[i+2] == '0' && b[i+3] == '0' {
+				if hi, lo := hexVal[b[i+4]], hexVal[b[i+5]]; hi|lo < 16 {
+					if r := hi<<4 | lo; r < utf8.RuneSelf {
+						buf = append(buf, r)
+					} else {
+						buf = utf8.AppendRune(buf, rune(r))
+					}
+					i += 6
+					run = i
+					continue
+				}
+			}
+			var n int
+			var ok bool
+			if buf, n, ok = unescape(buf, b[i:]); !ok {
 				return "", false
 			}
 			i += n
@@ -281,52 +300,76 @@ func (sc *scanner) str() (string, bool) {
 	return "", false
 }
 
-// unescape appends the text of the escape at the start of e to sc.buf
-// and returns the escape's length. A surrogate code point must be the
-// first half of a pair whose second half follows as the next escape.
-func (sc *scanner) unescape(e []byte) (int, bool) {
+// plainByte marks the bytes str passes over as they are: printable
+// ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// hexVal maps a hex digit to its value and every other byte to 16.
+var hexVal = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		case 'A' <= c && c <= 'F':
+			t[c] = byte(c - 'A' + 10)
+		default:
+			t[c] = 16
+		}
+	}
+	return t
+}()
+
+// unescape appends the text of the escape at the start of e to buf and
+// returns buf and the escape's length. A surrogate code point must be
+// the first half of a pair whose second half follows as the next
+// escape.
+func unescape(buf, e []byte) ([]byte, int, bool) {
 	if len(e) < 2 {
-		return 0, false
+		return buf, 0, false
 	}
 	switch e[1] {
 	case '"', '\\', '/':
-		sc.buf = append(sc.buf, e[1])
+		buf = append(buf, e[1])
 	case 'b':
-		sc.buf = append(sc.buf, '\b')
+		buf = append(buf, '\b')
 	case 'f':
-		sc.buf = append(sc.buf, '\f')
+		buf = append(buf, '\f')
 	case 'n':
-		sc.buf = append(sc.buf, '\n')
+		buf = append(buf, '\n')
 	case 'r':
-		sc.buf = append(sc.buf, '\r')
+		buf = append(buf, '\r')
 	case 't':
-		sc.buf = append(sc.buf, '\t')
+		buf = append(buf, '\t')
 	case 'u':
 		r := hex4(e[2:])
 		if r < 0 {
-			return 0, false
+			return buf, 0, false
 		}
 		if r < utf8.RuneSelf {
-			sc.buf = append(sc.buf, byte(r))
-			return 6, true
+			return append(buf, byte(r)), 6, true
 		}
 		if !utf16.IsSurrogate(r) {
-			sc.buf = utf8.AppendRune(sc.buf, r)
-			return 6, true
+			return utf8.AppendRune(buf, r), 6, true
 		}
 		if len(e) < 12 || e[6] != '\\' || e[7] != 'u' {
-			return 0, false
+			return buf, 0, false
 		}
 		r = utf16.DecodeRune(r, hex4(e[8:]))
 		if r == unicode.ReplacementChar {
-			return 0, false
+			return buf, 0, false
 		}
-		sc.buf = utf8.AppendRune(sc.buf, r)
-		return 12, true
+		return utf8.AppendRune(buf, r), 12, true
 	default:
-		return 0, false
+		return buf, 0, false
 	}
-	return 2, true
+	return buf, 2, true
 }
 
 // hex4 decodes the four hex digits at the start of h, or returns -1.
@@ -336,17 +379,10 @@ func hex4(h []byte) rune {
 	}
 	var r rune
 	for _, c := range h[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
+		if hexVal[c] > 15 {
 			return -1
 		}
-		r = r<<4 | rune(c)
+		r = r<<4 | rune(hexVal[c])
 	}
 	return r
 }

@@ -295,12 +295,16 @@ func extractEdges() []extractEdge {
 			`bad JSON: invalid character '\n' in string literal`, false),
 		bad("bad escape", `{"source":"con\certs","pages":[]}`,
 			`bad JSON: invalid character 'c' in string escape code`, false),
+		bad("bad short escape", `{"source":"con\u00zzcerts","pages":[]}`,
+			`bad JSON: invalid character 'z' in \u hexadecimal character escape`, false),
+		bad("truncated short escape", `{"source":"con\u00e`, "bad JSON: unexpected EOF", false),
 		bad("unknown field nested 20000 deep", `{"source":"concerts","pages":[`+page+`],"x":`+deep+`}`,
 			"bad JSON: invalid character '[' exceeded max depth", false),
 		ok("canonical", `{"source":"concerts","pages":[`+page+`]}`, true),
 		ok("python style", "{\"source\": \"concerts\",\r\n \"pages\": [ "+page+" , "+page+" ]}", true),
 		ok("pages first", `{"pages":[`+page+`],"source":"concerts"}`, true),
 		ok("escaped text", `{"source":"concerts","pages":["<p>caf\u00e9 \ud83d\ude00 \u2028 \/ \"q\" \\ \b\f\n\r\t \u0000</p>"]}`, true),
+		ok("short escapes", `{"source":"concerts","pages":["\u003cp\u003E\u0026 caf\u00E9 \u00ff \u0041\u00410\u003c/p\u003e"]}`, true),
 		ok("trailing bytes", `{"source":"concerts","pages":[`+page+`]} trailing`, true),
 		ok("unknown field", `{"source":"concerts","pages":[`+page+`],"extra":{"a":[1,null]}}`, false),
 		ok("duplicate pages", `{"source":"concerts","pages":[],"pages":[`+page+`]}`, false),

@@ -3,6 +3,8 @@ package recognize
 import (
 	"fmt"
 	"regexp"
+	"regexp/syntax"
+	"strings"
 	"sync"
 )
 
@@ -12,6 +14,9 @@ type RegexRecognizer struct {
 	name string
 	re   *regexp.Regexp
 	conf float64
+	// needsDigit reports that every match of re holds an ASCII digit,
+	// so Find skips text without one (see needsDigit).
+	needsDigit bool
 }
 
 // NewRegex compiles a user-defined regular-expression recognizer.
@@ -20,12 +25,59 @@ func NewRegex(name, pattern string) (*RegexRecognizer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recognize: bad pattern for %s: %w", name, err)
 	}
-	return &RegexRecognizer{name: name, re: re, conf: 1}, nil
+	return newRegex(name, re, 1), nil
 }
 
 // mustRegex builds a predefined recognizer from a known-good pattern.
 func mustRegex(name, pattern string, conf float64) *RegexRecognizer {
-	return &RegexRecognizer{name: name, re: regexp.MustCompile(pattern), conf: conf}
+	return newRegex(name, regexp.MustCompile(pattern), conf)
+}
+
+func newRegex(name string, re *regexp.Regexp, conf float64) *RegexRecognizer {
+	// re compiled, so its source parses with the flags regexp uses.
+	tree, err := syntax.Parse(re.String(), syntax.Perl)
+	return &RegexRecognizer{name: name, re: re, conf: conf, needsDigit: err == nil && needsDigit(tree)}
+}
+
+// needsDigit reports whether every string re matches contains an ASCII
+// digit: a literal holding one, a character class inside [0-9], a
+// concatenation with such a part, an alternation of such branches, or
+// a group or repetition (at least once) of one. It may answer false for
+// a pattern that does need a digit, never true for one that does not.
+func needsDigit(re *syntax.Regexp) bool {
+	switch re.Op {
+	case syntax.OpLiteral:
+		for _, r := range re.Rune {
+			if '0' <= r && r <= '9' {
+				return true
+			}
+		}
+	case syntax.OpCharClass:
+		for i := 0; i < len(re.Rune); i += 2 {
+			if re.Rune[i] < '0' || re.Rune[i+1] > '9' {
+				return false
+			}
+		}
+		return len(re.Rune) > 0
+	case syntax.OpConcat:
+		for _, sub := range re.Sub {
+			if needsDigit(sub) {
+				return true
+			}
+		}
+	case syntax.OpAlternate:
+		for _, sub := range re.Sub {
+			if !needsDigit(sub) {
+				return false
+			}
+		}
+		return len(re.Sub) > 0
+	case syntax.OpCapture, syntax.OpPlus:
+		return needsDigit(re.Sub[0])
+	case syntax.OpRepeat:
+		return re.Min >= 1 && needsDigit(re.Sub[0])
+	}
+	return false
 }
 
 // Name implements Recognizer.
@@ -33,6 +85,9 @@ func (r *RegexRecognizer) Name() string { return r.name }
 
 // Find implements Recognizer.
 func (r *RegexRecognizer) Find(text string) []Match {
+	if r.needsDigit && !strings.ContainsAny(text, "0123456789") {
+		return nil
+	}
 	var out []Match
 	for _, loc := range r.re.FindAllStringIndex(text, -1) {
 		out = append(out, Match{

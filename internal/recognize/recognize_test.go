@@ -137,6 +137,61 @@ func TestRegexRecognizer(t *testing.T) {
 	}
 }
 
+// TestRegexNeedsDigit pins which predefined recognizers skip text
+// without a digit — the flag is derived from each pattern's syntax tree,
+// never set by hand — and the derivation on user patterns.
+func TestRegexNeedsDigit(t *testing.T) {
+	predefined := map[string]Recognizer{
+		"date": NewDate(), "year": NewYear(), "price": NewPrice(), "phone": NewPhone(),
+		"number": NewNumber(), "isbn": NewISBN(), "address": NewAddress(), "email": NewEmail(),
+	}
+	want := map[string]bool{
+		"date": true, "year": true, "price": true, "phone": true,
+		"number": true, "isbn": true, "address": false, "email": false,
+	}
+	for name, r := range predefined {
+		if got := r.(*RegexRecognizer).needsDigit; got != want[name] {
+			t.Errorf("%s: needsDigit = %v, want %v", name, got, want[name])
+		}
+	}
+	for pattern, want := range map[string]bool{
+		`[A-Z]{3}-\d{4}`: true,
+		`\d*`:            false,
+		`\d?x`:           false,
+		`x?\d+`:          true,
+		`(\d)`:           true,
+		`a|\d`:           false,
+		`1|2[a-z]`:       true,
+		`[\dXx]`:         false,
+		`[3-5]`:          true,
+		`[0-9]{0,3}`:     false,
+		`[0-9]{2,}`:      true,
+		`(?i)page 7`:     true,
+		`.`:              false,
+		`^$`:             false,
+	} {
+		r, err := NewRegex("user", pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.needsDigit != want {
+			t.Errorf("%s: needsDigit = %v, want %v", pattern, r.needsDigit, want)
+		}
+	}
+	// The skip changes no answer: a flagged pattern finds nothing in
+	// text without a digit, and what it finds in text with one.
+	r, err := NewRegex("custom", `[A-Z]{3}-\d{4}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := r.Find("ABC-DEFG no digits"); len(ms) != 0 {
+		t.Errorf("matches in text without a digit: %+v", ms)
+	}
+	if ms := r.Find("ABC-1234"); len(ms) != 1 {
+		t.Errorf("matches = %+v, want one", ms)
+	}
+}
+
 func TestTokenize(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -8,6 +8,11 @@
 // strings the table has never seen, which makes read-only serving-time
 // lookups safe — an unknown token can never compare equal to a learned
 // descriptor, whose symbols are always non-zero.
+//
+// A table is built by interning and then read by lookups. Freeze ends
+// the building: interning a string a frozen table does not hold
+// panics, so the table can no longer change, and Lookup reads it
+// without a lock.
 package symtab
 
 import (
@@ -25,9 +30,10 @@ const None Sym = 0
 // insertion order starting at 1, so a fixed interning order yields a
 // deterministic table. The zero Table is not usable; call New.
 type Table struct {
-	mu   sync.RWMutex
-	ids  map[string]Sym
-	strs []string // strs[0] is the empty placeholder for None
+	mu     sync.RWMutex
+	ids    map[string]Sym
+	strs   []string // strs[0] is the empty placeholder for None
+	frozen bool     // set by Freeze; guarded by mu
 }
 
 // New returns an empty table.
@@ -41,7 +47,9 @@ func New() *Table {
 // Intern returns the symbol for s, assigning the next dense symbol if s
 // has not been seen. Safe for concurrent use, but concurrent first
 // interns race for assignment order — callers that need deterministic
-// symbol values must intern sequentially.
+// symbol values must intern sequentially. On a frozen table Intern
+// still returns the symbols the table holds, and panics on a string it
+// does not: a frozen table never grows.
 func (t *Table) Intern(s string) Sym {
 	t.mu.RLock()
 	y, ok := t.ids[s]
@@ -54,20 +62,33 @@ func (t *Table) Intern(s string) Sym {
 	if y, ok := t.ids[s]; ok {
 		return y
 	}
+	if t.frozen {
+		panic(fmt.Sprintf("symtab: Intern(%q) on a frozen table", s))
+	}
 	y = Sym(len(t.strs))
 	t.ids[s] = y
 	t.strs = append(t.strs, s)
 	return y
 }
 
+// Freeze ends interning into t and returns it. From then on Intern
+// panics on any string t does not hold, so t never changes again. A
+// wrapper freezes its table once its descriptors are bound, before any
+// page is served, and every extract reads it without a lock.
+func (t *Table) Freeze() *Table {
+	t.mu.Lock()
+	t.frozen = true
+	t.mu.Unlock()
+	return t
+}
+
 // Lookup returns the symbol for s, or None if s was never interned. It
-// never grows the table, which makes it the right call on the serving
-// path where the wrapper's table must stay frozen.
+// never grows the table and takes no lock: it must not run concurrently
+// with an Intern that adds a string. A frozen table guarantees that,
+// which is the serving path's case; so does a table whose interning
+// has finished before its readers start.
 func (t *Table) Lookup(s string) Sym {
-	t.mu.RLock()
-	y := t.ids[s]
-	t.mu.RUnlock()
-	return y
+	return t.ids[s]
 }
 
 // LookupBytes is Lookup for a byte-slice key. The map index expression
@@ -75,10 +96,7 @@ func (t *Table) Lookup(s string) Sym {
 // materializing the string, so the serving-path tokenizer can probe the
 // frozen table from its scratch buffers with zero allocations.
 func (t *Table) LookupBytes(b []byte) Sym {
-	t.mu.RLock()
-	y := t.ids[string(b)]
-	t.mu.RUnlock()
-	return y
+	return t.ids[string(b)]
 }
 
 // StringOf returns the string a symbol was interned from. None and

@@ -218,3 +218,74 @@ func TestConcurrentIntern(t *testing.T) {
 		}
 	}
 }
+
+// TestFrozenTable: a frozen table returns the symbols it holds from
+// Intern, Lookup and LookupBytes alike, answers None for strings it does
+// not hold, and panics when asked to intern one.
+func TestFrozenTable(t *testing.T) {
+	words := []string{"div", "html/body/div", "", "ünïcode", "price"}
+	open, frozen := New(), New()
+	for _, w := range words {
+		open.Intern(w)
+		frozen.Intern(w)
+	}
+	if got := frozen.Freeze(); got != frozen {
+		t.Fatal("Freeze returned a different table")
+	}
+	for _, s := range append(words, "unknown", "DIV") {
+		want := open.Lookup(s)
+		if got := frozen.Lookup(s); got != want {
+			t.Errorf("frozen Lookup(%q) = %d, open table %d", s, got, want)
+		}
+		if got := frozen.LookupBytes([]byte(s)); got != want {
+			t.Errorf("frozen LookupBytes(%q) = %d, open table %d", s, got, want)
+		}
+	}
+	for i, w := range words {
+		if got := frozen.Intern(w); got != Sym(i+1) {
+			t.Errorf("frozen Intern(%q) = %d, want its symbol %d", w, got, i+1)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("interning a new string into a frozen table did not panic")
+			}
+		}()
+		frozen.Intern("unknown")
+	}()
+	if frozen.Len() != len(words) || frozen.Lookup("unknown") != None {
+		t.Errorf("the frozen table grew: Len = %d", frozen.Len())
+	}
+	if canon := New(); !IdentityRemap(canon.Merge(frozen)) {
+		t.Error("merging a frozen table into an empty one is not the identity")
+	}
+}
+
+// TestFrozenLookupsConcurrent reads a frozen table from several
+// goroutines at once; under -race it checks that lock-free lookups on a
+// frozen table are safe.
+func TestFrozenLookupsConcurrent(t *testing.T) {
+	tab := New()
+	for i := 0; i < 100; i++ {
+		tab.Intern(fmt.Sprintf("tok-%d", i))
+	}
+	tab.Freeze()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := []byte("tok-")
+			for i := 0; i < 100; i++ {
+				if got := tab.LookupBytes(fmt.Appendf(buf[:0], "tok-%d", i)); got != Sym(i+1) {
+					t.Errorf("LookupBytes(tok-%d) = %d", i, got)
+				}
+				if got := tab.Intern(fmt.Sprintf("tok-%d", i)); got != Sym(i+1) {
+					t.Errorf("Intern(tok-%d) = %d", i, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

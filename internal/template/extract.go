@@ -8,15 +8,17 @@ import (
 	"objectrunner/internal/symtab"
 )
 
-// Scratch holds the reusable buffers of one extraction pass: the
-// descriptor-occurrence counting map, a bump arena for tuple positions,
-// a free list of span slices, and the word/part/range accumulators. A
-// Scratch is not safe for concurrent use; the serving path keeps one
-// per worker in a pool. Token positions handed out by allocInts stay
-// valid until the next Reset, so extracted instances (which copy text
-// into strings) never alias scratch memory.
+// Scratch holds the reusable buffers of one extraction pass: the slot
+// table of the descriptor sequence being located and its per-slot
+// occurrence counts, a bump arena for tuple positions, a free list of
+// span slices, and the word/part/range accumulators. A Scratch is not
+// safe for concurrent use; the serving path keeps one per worker in a
+// pool. Token positions handed out by allocInts stay valid until the
+// next Reset, so extracted instances (which copy text into strings)
+// never alias scratch memory.
 type Scratch struct {
-	counts map[sig3]int
+	slots  slotTable
+	counts []int32       // matchOnce's occurrence count per slot
 	ints   [][]int       // bump-allocated position storage, chunked
 	free   [][]tupleSpan // recycled span-slice backing buffers
 	words  []string
@@ -26,7 +28,7 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch ready for extraction.
 func NewScratch() *Scratch {
-	return &Scratch{counts: make(map[sig3]int)}
+	return &Scratch{}
 }
 
 // Reset recycles all position storage. Spans handed out before the call
@@ -89,7 +91,7 @@ func Extract(s *sod.Type, m *Match, toks []*eqclass.Occurrence) []*sod.Instance 
 
 func extractWith(s *sod.Type, m *Match, toks []*eqclass.Occurrence, sc *Scratch) []*sod.Instance {
 	var out []*sod.Instance
-	spans := findTuples(toks, m.Node.EQ.Descs, 0, len(toks), sc)
+	spans := findTuples(toks, m.Node, 0, len(toks), sc)
 	for _, span := range spans {
 		if inst := extractGroup(m.Tuple, m, toks, span, sc); inst != nil {
 			out = append(out, inst)
@@ -223,68 +225,132 @@ func (ts tupleSpan) slotRange(i int) (int, int) {
 	return ts.positions[i], ts.positions[i+1]
 }
 
-// findTuples locates repetitions of the separator sequence on the page by
-// greedy forward matching of the descriptors (kind, value, DOM path)
+// findTuples locates repetitions of n's separator sequence on the page
+// by greedy forward matching of the descriptors (kind, value, DOM path)
 // within [from, to). The returned slice's buffer belongs to the scratch:
 // callers release it with putSpans once done with the headers.
-func findTuples(toks []*eqclass.Occurrence, descs []eqclass.Desc, from, to int, sc *Scratch) []tupleSpan {
+func findTuples(toks []*eqclass.Occurrence, n *Node, from, to int, sc *Scratch) []tupleSpan {
 	out := sc.getSpans()
-	i := from
-	for {
+	descs := n.EQ.Descs
+	sc.slots.bind(descs)
+	for i := from; ; {
 		span, next, ok := matchOnce(toks, descs, i, to, sc)
 		if !ok {
-			return out
+			break
 		}
 		out = append(out, span)
 		i = next
 	}
+	sc.slots.unbind(descs)
+	return out
 }
 
-// sig3 is the structural signature of a descriptor or token, compared as
-// interned symbols: tokens and descriptors must carry symbols from the
-// same table (the owning wrapper's). A token the table never saw holds
-// symtab.None and can never equal a descriptor's non-zero symbols.
-type sig3 struct {
-	kind     eqclass.TokKind
-	val, pth symtab.Sym
+// slotTable indexes a descriptor sequence for matchOnce. Each distinct
+// structural signature (kind, value symbol, path symbol) among the
+// descriptors is one slot. A token finds its slot through head, indexed
+// by its value symbol, then along a chain of the slots sharing that
+// value, compared on kind and path. Tokens and descriptors must carry
+// symbols from the same table (the owning wrapper's); a token the table
+// never saw holds symtab.None, which no learned descriptor carries.
+//
+// The table lives on the scratch and is bound to one sequence for one
+// findTuples call: binding costs a pass over the descriptors, far fewer
+// than the tokens the call then scans, and nothing is kept per template
+// node — no allocation when a wrapper serves its first page, and
+// nothing to invalidate when InternDescs rebinds the descriptors.
+type slotTable struct {
+	head  []int32 // head[val]: 1 + first slot with value symbol val, 0 if none
+	slots []slotSig
+	of    []int32 // of[di]: the slot of descriptor di
 }
 
-func sigOfTok(o *eqclass.Occurrence) sig3 { return sig3{o.Kind, o.Val, o.Pth} }
-func sigOfDesc(d *eqclass.Desc) sig3      { return sig3{d.Kind, d.Val, d.Pth} }
+// slotSig is one slot's kind and path, and the chain link to the next
+// slot with the same value symbol (1 + its index, 0 at the end).
+type slotSig struct {
+	kind eqclass.TokKind
+	pth  symtab.Sym
+	next int32
+}
+
+// bind makes st the slot table of descs. head must hold no entry.
+func (st *slotTable) bind(descs []eqclass.Desc) {
+	if cap(st.of) < len(descs) {
+		st.of = make([]int32, len(descs))
+	}
+	head, slots, of := st.head, st.slots[:0], st.of[:len(descs)]
+	for di := range descs {
+		d := &descs[di]
+		if int(d.Val) >= len(head) {
+			head = append(head, make([]int32, int(d.Val)+1-len(head))...)
+		}
+		s := slotOf(head, slots, d.Kind, d.Val, d.Pth)
+		if s < 0 {
+			slots = append(slots, slotSig{kind: d.Kind, pth: d.Pth, next: head[d.Val]})
+			s = int32(len(slots) - 1)
+			head[d.Val] = s + 1
+		}
+		of[di] = s
+	}
+	st.head, st.slots, st.of = head, slots, of
+}
+
+// unbind clears the head entries bind set for descs.
+func (st *slotTable) unbind(descs []eqclass.Desc) {
+	for di := range descs {
+		st.head[descs[di].Val] = 0
+	}
+}
+
+// slotOf returns the slot of signature (kind, val, pth) in a slot table
+// given by its head and slots, or -1 when it has none.
+func slotOf(head []int32, slots []slotSig, kind eqclass.TokKind, val, pth symtab.Sym) int32 {
+	if int(val) >= len(head) {
+		return -1
+	}
+	for s := head[val]; s != 0; s = slots[s-1].next {
+		if e := &slots[s-1]; e.kind == kind && e.pth == pth {
+			return s - 1
+		}
+	}
+	return -1
+}
 
 // matchOnce finds one full descriptor sequence starting at or after i.
 // Ordinal-bearing descriptors bind to the n-th occurrence of their
 // structural signature within the tuple, counted from the anchor — this
 // tells apart separators that annotations differentiated during
-// inference but that look identical on an unseen page.
+// inference but that look identical on an unseen page. Occurrences are
+// counted per slot of the scratch's slot table, which findTuples bound
+// to descs: a token costs an array load and a short chain walk.
 func matchOnce(toks []*eqclass.Occurrence, descs []eqclass.Desc, i, to int, sc *Scratch) (tupleSpan, int, bool) {
 	if len(descs) == 0 {
 		return tupleSpan{}, to, false
 	}
-	// Tracked signatures, with their running occurrence counts. Map
-	// membership marks "tracked"; scanning a token costs a struct hash,
-	// no per-token signature string. The map is scratch-owned and never
-	// nested: matchOnce calls nothing that matches.
-	counts := sc.counts
-	clear(counts)
-	for di := range descs {
-		counts[sigOfDesc(&descs[di])] = 0
+	st := &sc.slots
+	// The counts are scratch-owned and never nested: matchOnce calls
+	// nothing that matches.
+	if cap(sc.counts) < len(st.slots) {
+		sc.counts = make([]int32, len(st.slots))
 	}
+	counts := sc.counts[:len(st.slots)]
+	clear(counts)
+	head, slots := st.head, st.slots
 	positions := sc.allocInts(len(descs))
 	for di := range descs {
-		d := &descs[di]
-		sig := sigOfDesc(d)
-		want := d.Ordinal
+		slot := st.of[di]
+		want := descs[di].Ordinal
 		if want <= 0 {
-			want = counts[sig] + 1 // "next match"
+			want = int(counts[slot]) + 1 // "next match"
 		}
 		found := -1
 		for ; i < to; i++ {
-			osig := sigOfTok(toks[i])
-			if c, tracked := counts[osig]; tracked {
-				counts[osig] = c + 1
+			o := toks[i]
+			s := slotOf(head, slots, o.Kind, o.Val, o.Pth)
+			if s < 0 {
+				continue
 			}
-			if osig == sig && counts[osig] >= want {
+			counts[s]++
+			if s == slot && int(counts[s]) >= want {
 				found = i
 				break
 			}
@@ -296,10 +362,8 @@ func matchOnce(toks []*eqclass.Occurrence, descs []eqclass.Desc, i, to int, sc *
 		i = found + 1
 		if di == 0 {
 			// Anchor: ordinal counting restarts at the tuple head.
-			for s := range counts {
-				counts[s] = 0
-			}
-			counts[sig] = 1
+			clear(counts)
+			counts[slot] = 1
 		}
 	}
 	return tupleSpan{positions: positions}, i, true
@@ -389,7 +453,7 @@ func bindingText(owner *Node, toks []*eqclass.Occurrence, span tupleSpan, b Fiel
 		if s := node.EQ.ParentSlot; s >= 0 && s+1 < len(cur.positions) {
 			from, to = cur.slotRange(s)
 		}
-		spans := findTuples(toks, node.EQ.Descs, from+1, to, sc)
+		spans := findTuples(toks, node, from+1, to, sc)
 		want := 0
 		if hop == 0 {
 			want = ranks[node]
@@ -419,7 +483,7 @@ func innerSlotText(owner *Node, toks []*eqclass.Occurrence, span tupleSpan, slot
 			if c.EQ.ParentSlot != slot || !excl[c] {
 				continue
 			}
-			cspans := findTuples(toks, c.EQ.Descs, from+1, to, sc)
+			cspans := findTuples(toks, c, from+1, to, sc)
 			for _, cs := range cspans {
 				ranges = append(ranges, [2]int{cs.positions[0], cs.positions[len(cs.positions)-1]})
 			}
@@ -488,7 +552,7 @@ func extractSet(f *sod.Type, b *SetBinding, toks []*eqclass.Occurrence, span tup
 		return set
 	}
 	from, to := span.positions[0], span.positions[len(span.positions)-1]
-	childSpans := findTuples(toks, b.Child.EQ.Descs, from+1, to, sc)
+	childSpans := findTuples(toks, b.Child, from+1, to, sc)
 	for _, childSpan := range childSpans {
 		if b.ElemMatch != nil {
 			if inst := extractGroup(b.ElemMatch.Tuple, b.ElemMatch, toks, childSpan, sc); inst != nil {

@@ -75,7 +75,8 @@ type PersistedMatch struct {
 // roots pre-order, descriptors in slice order, Value before Path — is the
 // same order Persist emits descriptors in, so a wrapper's symbol table is
 // identical whether it was built at inference time or restored from a
-// persisted symbol list.
+// persisted symbol list. Rebinding must not run concurrently with an
+// extract on the same template.
 func InternDescs(t *Template, tab *symtab.Table) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -212,7 +213,15 @@ func Restore(pt *PersistedTemplate, pms []*PersistedMatch, types []*sod.Type, ta
 		}
 		return nodes[id], nil
 	}
+	syms := tab.Len()
 	for i, rec := range pt.Nodes {
+		// A descriptor symbol the table does not hold would resolve to
+		// "", and extraction sizes its slot index by the symbols.
+		for _, d := range rec.EQ.Descs {
+			if d.Val < 0 || d.Val > syms || d.Pth < 0 || d.Pth > syms {
+				return nil, nil, fmt.Errorf("template: descriptor symbol (%d, %d) out of range [0, %d]", d.Val, d.Pth, syms)
+			}
+		}
 		n := nodes[i]
 		n.EQ = rec.EQ.Restore(tab)
 		for _, s := range rec.Slots {

@@ -102,8 +102,9 @@ func (w *Wrapper) Encode(dst io.Writer) error {
 		if w.tab == nil {
 			// Hand-built wrappers: establish the symbol-table invariant
 			// before the descriptors' symbol ids are written out.
-			w.tab = symtab.New()
-			template.InternDescs(w.Template, w.tab)
+			tab := symtab.New()
+			template.InternDescs(w.Template, tab)
+			w.tab = tab.Freeze()
 		}
 		p.Symbols = w.tab.Symbols()
 		p.Template, p.Matches = template.Persist(w.Template, w.Matches, pool)
@@ -197,7 +198,7 @@ func Decode(src io.Reader, rebind *sod.Type) (*Wrapper, error) {
 		}
 		w.Template = tmpl
 		w.Matches = matches
-		w.tab = tab
+		w.tab = tab.Freeze()
 	}
 	return w, nil
 }

@@ -147,9 +147,10 @@ type Wrapper struct {
 	obs             *obs.Observer
 	// tab is the wrapper-scoped symbol table: exactly the template
 	// descriptors' Value and Path strings, interned in template walk
-	// order. Extraction resolves unseen pages' tokens against it
-	// read-only; tokens outside the template vocabulary map to
-	// symtab.None and can never match a descriptor.
+	// order, and frozen once they are bound. Extraction resolves unseen
+	// pages' tokens against it read-only and without a lock; tokens
+	// outside the template vocabulary map to symtab.None and can never
+	// match a descriptor.
 	tab *symtab.Table
 }
 
@@ -411,9 +412,11 @@ func InferContext(ctx context.Context, pages []*dom.Node, s *sod.Type, recs map[
 	// the inference table carries the whole sample vocabulary plus
 	// annotation labels, while serving only ever resolves the template
 	// descriptors. The walk order matches Encode's, so a wrapper saves to
-	// the same bytes whether it was inferred or loaded.
-	w.tab = symtab.New()
-	template.InternDescs(w.Template, w.tab)
+	// the same bytes whether it was inferred or loaded. Frozen once
+	// bound: extracts read it without a lock.
+	wtab := symtab.New()
+	template.InternDescs(w.Template, wtab)
+	w.tab = wtab.Freeze()
 	w.Conflicts = best.analysis.Conflicts
 	w.Support = best.support
 	w.Report.ChosenSupport = best.support

@@ -41,6 +41,15 @@ func concertSOD() *sod.Type {
 // site builds a realistic source: chrome + list of concert records.
 func site(pages int, recordsOn func(i int) [][3]string) []*dom.Node {
 	var out []*dom.Node
+	for _, src := range siteHTML(pages, recordsOn) {
+		out = append(out, clean.Page(src))
+	}
+	return out
+}
+
+// siteHTML is site's raw HTML, one string per page.
+func siteHTML(pages int, recordsOn func(i int) [][3]string) []string {
+	var out []string
 	for i := 0; i < pages; i++ {
 		var sb strings.Builder
 		sb.WriteString(`<html><head><title>gigs</title></head><body>`)
@@ -52,7 +61,7 @@ func site(pages int, recordsOn func(i int) [][3]string) []*dom.Node {
 		sb.WriteString(`</ul></div>`)
 		sb.WriteString(`<div id="ftr"><span>contact us</span></div>`)
 		sb.WriteString(`</body></html>`)
-		out = append(out, clean.Page(sb.String()))
+		out = append(out, sb.String())
 	}
 	return out
 }
