@@ -54,8 +54,10 @@ check: ci
 # decoder (an error, or a wrapper that encodes again), the daemon's POST
 # /v1/extract request decoder (the same request or the same error text
 # as encoding/json), its response string escaping (the same bytes as
-# json.Marshal) and the template's slot-indexed tuple matcher (the same
-# spans as the map-keyed reference). go test fuzzes one target per run. Minimizing each new
+# json.Marshal), the template's slot-indexed tuple matcher (the same
+# spans as the map-keyed reference) and the regex recognizers' literal
+# prefilter (it never skips a text the pattern matches). go test fuzzes
+# one target per run. Minimizing each new
 # input is capped at 1 s: FuzzDecode's inputs are whole wrapper payloads,
 # and at the default cap minimization took most of the 20 s. A failing
 # input is written under testdata/fuzz/<Target>/, where every plain
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeExtractRequest$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/httpserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime 20s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz '^FuzzMatchTuples$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/template/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegexPrefilter$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/recognize/
 
 # orbench-check builds, vets and unit-tests the end-to-end benchmark
 # (bench/orbench). It is a module of its own, so `go build ./...` and

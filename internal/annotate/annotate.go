@@ -538,7 +538,11 @@ func blockCondition(sample []*PageAnnotations, alpha float64) bool {
 	if len(sample) == 0 {
 		return false
 	}
-	totals := make(map[string]int)
+	// Blocks are told apart by path, built into one reused buffer: a
+	// path is only stored the first time its block is seen.
+	index := make(map[string]int)
+	var totals []int
+	var path []byte
 	for _, pa := range sample {
 		for n, as := range pa.Anns {
 			direct := 0
@@ -550,7 +554,14 @@ func blockCondition(sample []*PageAnnotations, alpha float64) bool {
 			if direct == 0 {
 				continue
 			}
-			totals[blockPathOf(n)] += direct
+			path = blockOf(n).AppendPath(path[:0])
+			i, ok := index[string(path)]
+			if !ok {
+				i = len(totals)
+				index[string(path)] = i
+				totals = append(totals, 0)
+			}
+			totals[i] += direct
 		}
 	}
 	k := float64(len(sample))
@@ -562,17 +573,16 @@ func blockCondition(sample []*PageAnnotations, alpha float64) bool {
 	return false
 }
 
-// blockPathOf maps a node to the DOM path of its nearest block-level
-// ancestor (or itself), the cross-page identity of visual blocks.
-func blockPathOf(n *dom.Node) string {
-	cur := n
-	for cur != nil && render.IsInline(cur) {
-		cur = cur.Parent
+// blockOf returns n's nearest block-level ancestor (or n itself, also
+// when no ancestor is block-level), whose DOM path is the cross-page
+// identity of visual blocks.
+func blockOf(n *dom.Node) *dom.Node {
+	for cur := n; cur != nil; cur = cur.Parent {
+		if !render.IsInline(cur) {
+			return cur
+		}
 	}
-	if cur == nil {
-		return n.Path()
-	}
-	return cur.Path()
+	return n
 }
 
 // SelectRandom is the baseline sampler of the paper's Table II: it takes k

@@ -250,40 +250,48 @@ func joinFields(s string) string {
 // Path returns the slash-separated tag path from the document root to n,
 // e.g. "html/body/div/span". Text nodes contribute the pseudo-tag "#text".
 func (n *Node) Path() string {
-	var parts []string
-	for cur := n; cur != nil && cur.Type != DocumentNode; cur = cur.Parent {
-		switch cur.Type {
-		case ElementNode:
-			parts = append(parts, cur.Data)
-		case TextNode:
-			parts = append(parts, "#text")
-		case CommentNode:
-			parts = append(parts, "#comment")
-		case DoctypeNode:
-			parts = append(parts, "#doctype")
-		}
+	return string(n.AppendPath(nil))
+}
+
+// AppendPath appends n.Path() to b, so a caller that only compares or
+// looks paths up can build them in a reused buffer.
+func (n *Node) AppendPath(b []byte) []byte {
+	if n == nil || n.Type == DocumentNode {
+		return b
 	}
-	// Reverse into root-first order.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	start := len(b)
+	b = n.Parent.AppendPath(b)
+	seg := n.pathSegment()
+	if seg == "" {
+		return b
 	}
-	return strings.Join(parts, "/")
+	if len(b) > start {
+		b = append(b, '/')
+	}
+	return append(b, seg...)
+}
+
+// pathSegment is n's segment of a DOM path ("" for node types a path
+// leaves out).
+func (n *Node) pathSegment() string {
+	switch n.Type {
+	case ElementNode:
+		return n.Data
+	case TextNode:
+		return "#text"
+	case CommentNode:
+		return "#comment"
+	case DoctypeNode:
+		return "#doctype"
+	}
+	return ""
 }
 
 // HasPath reports whether n.Path() == p, without building the path.
 func (n *Node) HasPath(p string) bool {
 	for cur := n; cur != nil && cur.Type != DocumentNode; cur = cur.Parent {
-		var seg string
-		switch cur.Type {
-		case ElementNode:
-			seg = cur.Data
-		case TextNode:
-			seg = "#text"
-		case CommentNode:
-			seg = "#comment"
-		case DoctypeNode:
-			seg = "#doctype"
-		default:
+		seg := cur.pathSegment()
+		if seg == "" {
 			continue
 		}
 		if !strings.HasSuffix(p, seg) {

@@ -33,17 +33,16 @@ type baseGroup struct {
 // Base is the immutable per-corpus snapshot of Algorithm 2's shared
 // first stage. It is safe for concurrent Analyze calls; the snapshot
 // itself is never mutated after NewBase returns (analysis runs read the
-// pages and start from a copy of the role assignment, and role-key
-// slices are replaced wholesale, never edited in place).
+// pages and start from a copy of the role assignment).
 type Base struct {
-	pages    [][]*Occurrence
-	tab      *symtab.Table
-	params   Params
-	roleKeys []roleKey
-	roles    []int32
-	pageOff  []int
-	stats    []roleStat
-	groups   []baseGroup
+	pages   [][]*Occurrence
+	tab     *symtab.Table
+	params  Params
+	nRoles  int
+	roles   []int32
+	pageOff []int
+	stats   []roleStat
+	groups  []baseGroup
 	// minSupport is the support floor the groups were filtered at
 	// (params.Support clamped to the page count); shard falls back to a
 	// live pass below it.
@@ -80,19 +79,19 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 		}
 	}
 
-	// The snapshot keeps the role keys and statistics computed next, so
-	// they get buffers of their own; the scratch's spare ones are set
-	// aside meanwhile and handed back for the runs after it.
+	// The snapshot keeps the statistics computed next, so they get
+	// buffers of their own; the scratch's spare ones are set aside
+	// meanwhile and handed back for the runs after it.
 	sc := a.scratch()
 	spare := *sc
-	sc.keyBufs, sc.stats, sc.vecs, sc.occArena = [2][]roleKey{}, nil, nil, nil
+	sc.stats, sc.vecs, sc.occArena = nil, nil, nil
 	// Criterion i: differentiate roles by HTML features (value + DOM
 	// path). Annotated words are shielded from template candidacy so that
 	// too-regular data ("New York") stays extractable (paper §II.C).
-	a.assignRolesBy(func(int) func(*Occurrence) roleKey { return baseKey })
-	b.roleKeys, b.roles = a.roleKeys, a.roles
+	a.assignBaseRoles()
+	b.nRoles, b.roles = a.nRoles, a.roles
 	b.stats = a.computeRoleStats()
-	sc.keyBufs, sc.flip, sc.stats, sc.vecs, sc.occArena = spare.keyBufs, spare.flip, spare.stats, spare.vecs, spare.occArena
+	sc.stats, sc.vecs, sc.occArena = spare.stats, spare.vecs, spare.occArena
 
 	// Group candidate roles by occurrence vector and validate each group
 	// once. Validation (ordered-and-nested, salvage) is support-
@@ -106,19 +105,19 @@ func NewBase(pages [][]*Occurrence, p Params, ob *obs.Observer, tab *symtab.Tabl
 	for _, roles := range a.groupRoles(b.stats, minSupport) {
 		g := baseGroup{pages: b.stats[roles[0]].pages, nroles: len(roles), slotless: slotlessGroup(roles)}
 		if !g.slotless {
-			g.eqs, g.invalid = a.salvageEQs(nil, roles, b.stats)
+			g.eqs, g.invalid = a.salvageEQs(nil, roles, b.stats, nil)
 		}
 		b.groups = append(b.groups, g)
 	}
 	a.releaseScratch()
 	ob.Count("eqclass.base_builds", 1)
 	ob.Event("eqclass.base", obs.A("pages", np),
-		obs.A("roles", len(b.roleKeys)), obs.A("groups", len(b.groups)))
+		obs.A("roles", b.nRoles), obs.A("groups", len(b.groups)))
 	return b
 }
 
 // Roles returns the number of distinct criterion-i roles in the snapshot.
-func (b *Base) Roles() int { return len(b.roleKeys) }
+func (b *Base) Roles() int { return b.nRoles }
 
 // Groups returns the number of pre-validated same-vector role groups.
 func (b *Base) Groups() int { return len(b.groups) }
@@ -151,7 +150,7 @@ func (b *Base) shard(a *Analysis, support int) []*EQ {
 	if support < b.minSupport {
 		// Below the snapshot's support floor some groups were never
 		// validated; run the full pass on the cached stats instead.
-		return a.classesFrom(b.stats, support)
+		return a.classesFrom(b.stats, support, nil)
 	}
 	var eqs []*EQ
 	id := 0
@@ -189,12 +188,11 @@ func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Ana
 		ob.Count("eqclass.base_reuse", 1)
 	}
 	a := &Analysis{Pages: b.pages, params: p, obs: ob, tab: b.tab}
-	a.roleKeys, a.roles = b.roleKeys, slices.Clone(b.roles)
+	a.nRoles, a.roles = b.nRoles, slices.Clone(b.roles)
 	a.pageOff = b.pageOff
 	ob.Event("eqclass.step", obs.A("step", "i-html"), obs.A("roles", a.roleCount()))
 
 	aborted := false
-	generation := 0
 	fromBase := true
 	// Every differentiation step refines the role partition (roleKey.prev),
 	// so each changed step adds at least one role and the loops reach
@@ -213,7 +211,7 @@ func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Ana
 				a.stats = b.stats
 				fromBase = false
 			} else {
-				a.EQs = a.findEQs()
+				a.EQs = a.findEQs(false)
 			}
 			// Handle invalid EQs: classes straddling other classes'
 			// separators are discarded, freeing their roles for further
@@ -225,8 +223,7 @@ func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Ana
 				ob.Event("eqclass.early_stop", obs.A("iteration", a.Iterations), obs.A("eqs", len(a.EQs)))
 				break
 			}
-			generation++
-			changed = a.differentiate(false, generation)
+			changed = a.differentiate(false)
 			// Hand the CPU on between rounds, as the per-page stages do
 			// between pages (parallel.ForEachCtx): a run on a server's
 			// request goroutine would otherwise keep it through every
@@ -251,8 +248,14 @@ func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Ana
 		}
 		// Conflicting annotations.
 		if p.UseAnnotations {
-			generation++
-			changed := a.differentiate(true, generation)
+			if a.stats == nil {
+				// The inner loop was cut with roles still changing: the
+				// classes carry ids of the numbering before its last step,
+				// so find them again on the current one.
+				a.EQs = a.findEQs(false)
+				BuildHierarchy(a)
+			}
+			changed := a.differentiate(true)
 			ob.Event("eqclass.step", obs.A("step", "iv-conflicting"),
 				obs.A("iteration", a.Iterations), obs.A("roles", a.roleCount()),
 				obs.A("conflicts", a.Conflicts), obs.A("changed", changed))
@@ -271,8 +274,13 @@ func (b *Base) run(p Params, hook func(a *Analysis) bool, ob *obs.Observer) *Ana
 		ob.Count("eqclass.fixpoint_capped", 1)
 		ob.Event("eqclass.fixpoint_capped", obs.A("iterations", a.Iterations), obs.A("max_iter", p.MaxIter))
 	}
-	if !aborted {
-		a.EQs = a.findEQs()
+	if aborted {
+		// The classes of the aborted round live in the scratch.
+		for i, e := range a.EQs {
+			a.EQs[i] = e.detach()
+		}
+	} else {
+		a.EQs = a.findEQs(true)
 	}
 	BuildHierarchy(a)
 	// Extraction-time separator ordinals are only needed on the final

@@ -1,13 +1,11 @@
 package eqclass
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"objectrunner/internal/obs"
@@ -138,8 +136,9 @@ type Analysis struct {
 	// tab interns token values, paths, and annotation labels for this
 	// analysis; role keys and descriptors reference its symbols.
 	tab *symtab.Table
-	// roleKeys maps role id to its structural key.
-	roleKeys []roleKey
+	// nRoles is the number of distinct roles currently assigned; role
+	// ids are dense, numbered in first-seen page order.
+	nRoles int
 	// roles holds every occurrence's current role id, flat in the
 	// pageOff layout. Each run owns its copy, so runs of one Base share
 	// the pages themselves.
@@ -153,15 +152,19 @@ type Analysis struct {
 	// with the Base the analysis resumed from.
 	pageOff []int
 	// stats caches the per-role aggregation of the most recent
-	// findEQs/shard for the annotation pass of the following
-	// differentiate call; any role renumbering invalidates it.
+	// findEQs/shard for the differentiate call that follows; a changed
+	// partition (or a permuted numbering) drops it, and with it the
+	// classes of the round hold stale role ids.
 	stats []roleStat
+	// scopes is the painting of the hierarchy BuildHierarchy last built
+	// (see computeScopes), for the differentiate call that follows.
+	scopes []scope
 	// sc is the run's reusable working state (see scratch).
 	sc *scratch
 }
 
 // roleCount returns the number of distinct roles currently assigned.
-func (a *Analysis) roleCount() int { return len(a.roleKeys) }
+func (a *Analysis) roleCount() int { return a.nRoles }
 
 // Role returns the occurrence's current role id; o must belong to
 // a.Pages.
@@ -205,59 +208,6 @@ func AnalyzeTable(pages [][]*Occurrence, p Params, hook func(a *Analysis) bool, 
 	return b.run(b.params, hook, ob)
 }
 
-// roleKey is the comparable role-differentiation key. kind/val/pth are
-// the HTML-feature base (criterion i); gen/eq/slot/ord record the
-// positional refinement of criterion (ii), tagged with the generation so
-// stale keys from earlier class ids cannot collide; ann is the interned
-// annotation label of criteria (iii)/(iv), symtab.None when absent. prev
-// is the occurrence's role before the differentiation step that built
-// the key: two occurrences of different roles never share a key, so a
-// step can split roles but never merge them (DESIGN §16).
-type roleKey struct {
-	kind          TokKind
-	val, pth      symtab.Sym
-	gen           int32
-	eq, slot, ord int32
-	ann           symtab.Sym
-	prev          int32
-}
-
-// appendLegacy appends the historical string form of a role key
-// ("kind|value|path" + "|g<gen>.eq<id>.s<slot>.o<ord>" + "|t:<label>").
-// Role numbering sorts distinct keys on this form: numbering order is
-// observable — the conflicting-annotation pass freezes roles through
-// class role-id sets recorded before the last renumbering, so a
-// different sort order would shift which roles those stale ids hit.
-// Composing the form once per distinct key (a few hundred per pass)
-// keeps the comparison cheap without hashing strings per occurrence.
-func (a *Analysis) appendLegacy(b []byte, k roleKey) []byte {
-	b = strconv.AppendInt(b, int64(k.kind), 10)
-	b = append(b, '|')
-	b = append(b, a.tab.StringOf(k.val)...)
-	b = append(b, '|')
-	b = append(b, a.tab.StringOf(k.pth)...)
-	if k.gen != 0 {
-		b = append(b, "|g"...)
-		b = strconv.AppendInt(b, int64(k.gen), 10)
-		b = append(b, ".eq"...)
-		b = strconv.AppendInt(b, int64(k.eq), 10)
-		b = append(b, ".s"...)
-		b = strconv.AppendInt(b, int64(k.slot), 10)
-		b = append(b, ".o"...)
-		b = strconv.AppendInt(b, int64(k.ord), 10)
-	}
-	if k.ann != symtab.None {
-		b = append(b, "|t:"...)
-		b = append(b, a.tab.StringOf(k.ann)...)
-	}
-	return b
-}
-
-// baseKey is the HTML-feature role key.
-func baseKey(o *Occurrence) roleKey {
-	return roleKey{kind: o.Kind, val: o.Val, pth: o.Pth}
-}
-
 // templateCandidate reports whether the occurrence may serve as a
 // template (separator) token. Words carrying entity-type annotations are
 // data by definition when annotations are enabled.
@@ -280,17 +230,24 @@ type roleStat struct {
 
 // findEQs groups template-candidate roles by occurrence vector, validates
 // order and nesting, and returns the valid equivalence classes. The
-// per-role aggregation is cached on the analysis for the annotation pass
-// of the following differentiate call.
-func (a *Analysis) findEQs() []*EQ {
+// per-role aggregation is cached on the analysis for the differentiate
+// call that follows. Unless keep is set, the classes live in the run's
+// scratch until the next call (see classArena).
+func (a *Analysis) findEQs(keep bool) []*EQ {
 	stats := a.computeRoleStats()
 	a.stats = stats
-	return a.classesFrom(stats, a.params.Support)
+	var ar *classArena
+	if !keep {
+		ar = &a.scratch().classes
+		ar.reset()
+	}
+	return a.classesFrom(stats, a.params.Support, ar)
 }
 
 // classesFrom runs the grouping + validation half of findEQs on an
-// existing per-role aggregation, for one support value.
-func (a *Analysis) classesFrom(stats []roleStat, support int) []*EQ {
+// existing per-role aggregation, for one support value; the classes are
+// carved from ar (nil: allocated on their own).
+func (a *Analysis) classesFrom(stats []roleStat, support int, ar *classArena) []*EQ {
 	if np := len(a.Pages); support > np {
 		support = np
 	}
@@ -303,7 +260,7 @@ func (a *Analysis) classesFrom(stats []roleStat, support int) []*EQ {
 		}
 		n := len(eqs)
 		var invalid bool
-		eqs, invalid = a.salvageEQs(eqs, roles, stats)
+		eqs, invalid = a.salvageEQs(eqs, roles, stats, ar)
 		if invalid {
 			a.countInvalidGroup(len(roles))
 		}
@@ -324,51 +281,33 @@ func (a *Analysis) classesFrom(stats []roleStat, support int) []*EQ {
 func slotlessGroup(roles []int) bool { return len(roles) == 1 }
 
 // groupRoles returns the template-candidate role groups (same occurrence
-// vector, page coverage >= support) in sorted vector-key order; each
-// group lists its roles in ascending id order. The group key replicates
-// the fmt.Sprint([]int) form "[1 2 3]" — group order is sorted on this
-// string and determines class ids, which are visible in reports, so the
-// historical ordering is load-bearing. The form is injective, so the
-// candidates sorted on (form, id) fall into runs that are exactly the
-// groups. The groups view the run's scratch, valid until the next call.
+// vector, page coverage >= support) in ascending vector order (compared
+// element-wise); each group lists its roles in ascending id order. Group
+// order fixes class ids, which reports show. The candidates sorted on
+// (vector, id) fall into runs that are exactly the groups. The groups
+// view the run's scratch, valid until the next call.
 func (a *Analysis) groupRoles(stats []roleStat, support int) [][]int {
 	sc := a.scratch()
-	cands, forms, formOff := sc.cands[:0], sc.forms[:0], sc.formOff[:0]
+	cands := sc.cands[:0]
 	for r := range stats {
-		st := &stats[r]
-		if !st.cand || st.pages < support {
-			continue
+		if st := &stats[r]; st.cand && st.pages >= support {
+			cands = append(cands, r)
 		}
-		cands = append(cands, r)
-		formOff = append(formOff, len(forms))
-		forms = appendVector(forms, st.vector)
 	}
-	formOff = append(formOff, len(forms))
-	sc.cands, sc.forms, sc.formOff = cands, forms, formOff
-	form := func(i int) []byte { return forms[formOff[i]:formOff[i+1]] }
-	order := resize(sc.order, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(x, y int) int {
-		if c := bytes.Compare(form(x), form(y)); c != 0 {
+	slices.SortFunc(cands, func(x, y int) int {
+		if c := slices.Compare(stats[x].vector, stats[y].vector); c != 0 {
 			return c
 		}
 		return cmp.Compare(x, y)
 	})
-	sc.order = order
-	members := resize(sc.members, len(cands))
-	sc.members = members
+	sc.cands = cands
 	groups := sc.groups[:0]
-	for i := 0; i < len(order); {
+	for i := 0; i < len(cands); {
 		j := i + 1
-		for j < len(order) && bytes.Equal(form(order[j]), form(order[i])) {
+		for j < len(cands) && slices.Equal(stats[cands[j]].vector, stats[cands[i]].vector) {
 			j++
 		}
-		for t := i; t < j; t++ {
-			members[t] = cands[order[t]]
-		}
-		groups = append(groups, members[i:j:j])
+		groups = append(groups, cands[i:j:j])
 		i = j
 	}
 	sc.groups = groups
@@ -393,17 +332,21 @@ func (e *EQ) cloneForRun() *EQ {
 	return &EQ{Roles: e.Roles, Descs: descs, Vector: e.Vector, Tuples: e.Tuples}
 }
 
-// appendVector formats an occurrence vector exactly like
-// fmt.Sprint([]int): "[3 3 4]".
-func appendVector(buf []byte, v []int) []byte {
-	buf = append(buf, '[')
-	for i, x := range v {
-		if i > 0 {
-			buf = append(buf, ' ')
+// detach copies a class of a fixpoint round out of the run's scratch for
+// an analysis that keeps it (an aborted run ends on such a round). The
+// hierarchy links start zero-valued; BuildHierarchy fills them.
+func (e *EQ) detach() *EQ {
+	tuples := make([][]Tuple, len(e.Tuples))
+	for pi, tups := range e.Tuples {
+		if len(tups) > 0 {
+			tuples[pi] = make([]Tuple, len(tups))
+			for ti, t := range tups {
+				tuples[pi][ti].Positions = slices.Clone(t.Positions)
+			}
 		}
-		buf = strconv.AppendInt(buf, int64(x), 10)
 	}
-	return append(buf, ']')
+	return &EQ{ID: e.ID, Roles: slices.Clone(e.Roles), Descs: slices.Clone(e.Descs),
+		Vector: slices.Clone(e.Vector), Tuples: tuples, OrderHint: e.OrderHint}
 }
 
 // salvageEQs handles invalid candidate classes (Algorithm 2, "handle
@@ -414,9 +357,10 @@ func appendVector(buf []byte, v []int) []byte {
 // simply remain data. The classes are appended to out. The invalid flag
 // reports that salvage was entered; the caller owns the accounting
 // (countInvalidGroup), so the base snapshot can validate once and
-// re-report per sharded run.
-func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat) (_ []*EQ, invalid bool) {
-	if eq := a.validateEQ(roles, stats); eq != nil {
+// re-report per sharded run. The classes are carved from ar (nil:
+// allocated on their own).
+func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat, ar *classArena) (_ []*EQ, invalid bool) {
+	if eq := a.validateEQ(roles, stats, ar); eq != nil {
 		return append(out, eq), false
 	}
 	// The same-vector group failed the ordered-and-nested test and enters
@@ -433,7 +377,7 @@ func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat) (_ []*EQ
 	}
 	sc.tags = tags
 	if len(tags) > 0 && len(tags) < len(roles) {
-		if eq := a.validateEQ(tags, stats); eq != nil {
+		if eq := a.validateEQ(tags, stats, ar); eq != nil {
 			return append(out, eq), true
 		}
 	}
@@ -448,7 +392,7 @@ func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat) (_ []*EQ
 		for j < len(tags) && rep(tags[j]).Path == rep(tags[i]).Path {
 			j++
 		}
-		if eq := a.validateEQ(tags[i:j], stats); eq != nil {
+		if eq := a.validateEQ(tags[i:j], stats, ar); eq != nil {
 			out = append(out, eq)
 		}
 		i = j
@@ -468,10 +412,10 @@ func (a *Analysis) salvageEQs(out []*EQ, roles []int, stats []roleStat) (_ []*EQ
 // position they are exactly the class's occurrences on that page, and
 // no page needs scanning. Every role contributes the same count, so a
 // page that is σ repeated also proves σ's roles distinct. Validation
-// runs in the run's scratch; only a class that validates allocates, and
-// it copies everything it keeps (the vector may live in a reused
-// statistics buffer).
-func (a *Analysis) validateEQ(roles []int, stats []roleStat) *EQ {
+// runs in the run's scratch; a class that validates copies everything it
+// keeps (the vector may live in a reused statistics buffer) into buffers
+// carved from ar, or allocated on their own when ar is nil.
+func (a *Analysis) validateEQ(roles []int, stats []roleStat, ar *classArena) *EQ {
 	k := len(roles)
 	vector := stats[roles[0]].vector
 	sc := a.scratch()
@@ -511,130 +455,101 @@ func (a *Analysis) validateEQ(roles []int, stats []roleStat) *EQ {
 	// One backing array holds the class's roles, its vector and every
 	// tuple's positions.
 	np := len(vector)
-	ints := make([]int, k+np+len(pos))
+	if ar == nil {
+		ar = new(classArena) // empty: every buffer is allocated to size
+	}
+	ints := carve(&ar.ints, k+np+len(pos))
 	sigmaRoles, vec, flat := ints[:k:k], ints[k:k+np:k+np], ints[k+np:]
 	copy(vec, vector)
 	copy(flat, pos)
-	arena := make([]Tuple, len(flat)/k)
+	arena := carve(&ar.tuples, len(flat)/k)
 	for t := range arena {
 		arena[t].Positions = flat[t*k : (t+1)*k : (t+1)*k]
 	}
-	tuples := make([][]Tuple, np)
+	tuples := carve(&ar.rows, np)
 	for pi, t := 0, 0; pi < np; pi++ {
+		tuples[pi] = nil
 		if n := vector[pi]; n > 0 {
 			tuples[pi] = arena[t : t+n : t+n]
 			t += n
 		}
 	}
-	descs := make([]Desc, k)
+	descs := carve(&ar.descs, k)
 	for i, o := range sigma {
 		sigmaRoles[i] = a.role(o)
 		descs[i] = DescOf(o)
 	}
-	return &EQ{Roles: sigmaRoles, Descs: descs, Vector: vec, Tuples: tuples}
+	e := &carve(&ar.eqs, 1)[0]
+	*e = EQ{Roles: sigmaRoles, Descs: descs, Vector: vec, Tuples: tuples}
+	return e
 }
 
-// scope identifies the innermost equivalence-class slot containing a
-// token position.
+// scope identifies the innermost hierarchy slot containing a token:
+// slot numbers the interior slots of a.EQs in list order (a class's
+// slots are consecutive; -1 outside every slot), and tuple is the
+// containing repetition's ordinal on the page.
 type scope struct {
-	eq    int // EQ id
-	tuple int // tuple ordinal on the page
-	slot  int // interior slot index
+	slot, tuple int32
 }
 
-// gap is one interior slot span of a class tuple, to be painted into the
-// page's scope row.
-type gap struct {
-	from, to int // token positions, exclusive bounds
-	sc       scope
-}
-
-// computeScopes paints, for every page position, the innermost (EQ,
-// tuple, slot) containing it. Wider gaps are painted first so inner
-// classes overwrite outer ones. Gaps never span pages, so the painting
-// fans out over page chunks; the per-page sort (width desc, position, class,
-// slot) is exactly the historical global order restricted to one page,
-// and it is total — same-width overlapping gaps always paint in the same
-// order regardless of worker count. The rows are views into the run's
-// scratch, valid until the next call.
-func (a *Analysis) computeScopes() [][]scope {
+// computeScopes paints, for every occurrence, the innermost slot of the
+// hierarchy containing it, into a flat buffer in the pageOff layout. It
+// runs on the classes BuildHierarchy kept: their gaps are laminar — a
+// class either lies inside one slot of an earlier-kept class or is
+// disjoint from it, and the list puts containers before what they
+// contain — so painting the classes in list order leaves every position
+// with its innermost slot, with no sort. Gaps never span pages, so the
+// painting fans out over page chunks. The buffer is the run's scratch,
+// valid until the next call.
+func (a *Analysis) computeScopes() []scope {
 	off := a.layout()
 	np := len(a.Pages)
 	sc := a.scratch()
 	sc.scopeBuf = resize(sc.scopeBuf, off[np])
-	sc.scopeRows = resize(sc.scopeRows, np)
-	sc.gaps = growRows(sc.gaps, np)
-	byPage := sc.gaps[:np]
-	for pi := range byPage {
-		byPage[pi] = byPage[pi][:0]
-	}
-	for _, eq := range a.EQs {
-		if eq.K() < 2 {
-			continue
-		}
-		for pi, tups := range eq.Tuples {
-			for ti, t := range tups {
-				for s := 0; s+1 < len(t.Positions); s++ {
-					byPage[pi] = append(byPage[pi], gap{
-						from: t.Positions[s],
-						to:   t.Positions[s+1],
-						sc:   scope{eq: eq.ID, tuple: ti, slot: s},
-					})
-				}
-			}
-		}
-	}
-	scopes := sc.scopeRows
+	scopes := sc.scopeBuf
 	parallel.MapWorkersCtx(nil, a.params.Workers, np,
 		func(_ context.Context, _ int, c parallel.Chunk) (struct{}, error) {
 			for pi := c.Lo; pi < c.Hi; pi++ {
-				row := sc.scopeBuf[off[pi]:off[pi+1]]
+				row := scopes[off[pi]:off[pi+1]]
 				for i := range row {
-					row[i] = scope{eq: -1}
+					row[i] = scope{slot: -1}
 				}
-				gaps := byPage[pi]
-				slices.SortFunc(gaps, cmpGap)
-				for _, g := range gaps {
-					for p := g.from + 1; p < g.to; p++ {
-						row[p] = g.sc
+				slot := int32(0)
+				for _, e := range a.EQs {
+					if pi < len(e.Tuples) {
+						for ti, t := range e.Tuples[pi] {
+							for s := 0; s+1 < len(t.Positions); s++ {
+								in := scope{slot: slot + int32(s), tuple: int32(ti)}
+								for p := t.Positions[s] + 1; p < t.Positions[s+1]; p++ {
+									row[p] = in
+								}
+							}
+						}
 					}
+					slot += int32(e.Slots())
 				}
-				scopes[pi] = row
 			}
 			return struct{}{}, nil
 		})
 	return scopes
 }
 
-// cmpGap orders gaps for painting: wider first, then by position, class
-// and slot.
-func cmpGap(x, y gap) int {
-	if wx, wy := x.to-x.from, y.to-y.from; wx != wy {
-		return cmp.Compare(wy, wx)
-	}
-	if c := cmp.Compare(x.from, y.from); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.sc.eq, y.sc.eq); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.sc.slot, y.sc.slot)
-}
-
-// differentiate recomputes roles with the positional (EQ + ordinal) and
-// annotation criteria. Roles that belong to a valid class of the current
-// hierarchy are "deemed unique" already and keep their keys unchanged —
-// in particular, the repeated occurrences of an iterator class (a record
-// <li> appearing a varying number of times per page) are never split.
-// Free roles are refined by their innermost (class, slot) scope plus an
-// ordinal, settling on the minimal number of consecutive occurrences
-// across tuples (paper §III.C), and by annotation labels. With
-// conflicting=false only unambiguous single-type annotations participate;
-// with conflicting=true, disagreeing roles are resolved by majority
+// differentiate recomputes roles with the positional (slot + ordinal) and
+// annotation criteria, on the hierarchy BuildHierarchy last built and
+// painted and the per-role aggregation (a.stats) of the current
+// numbering that the round's findEQs or shard left. Roles that belong to a valid class of the hierarchy are
+// "deemed unique" already and keep their partition — in particular, the
+// repeated occurrences of an iterator class (a record <li> appearing a
+// varying number of times per page) are never split. Free roles are
+// refined by their innermost slot plus an ordinal, settling on the
+// minimal number of consecutive occurrences across tuples (paper
+// §III.C), and by annotation labels. With conflicting=false only
+// unambiguous single-type annotations participate; with
+// conflicting=true, disagreeing roles are resolved by majority
 // generalization at the AnnThreshold and unresolved disagreements are
 // counted as conflicts.
-func (a *Analysis) differentiate(conflicting bool, generation int) bool {
-	scopes := a.computeScopes()
+func (a *Analysis) differentiate(conflicting bool) bool {
+	scopes, stats := a.scopes, a.stats
 
 	// Roles of current valid classes are frozen — except, when semantic
 	// annotations are in play, those of child classes repeating a
@@ -645,25 +560,15 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 	// positions in the HTML tree and in equivalence classes alone do not
 	// suffice to tell the roles apart (§III.C) — so the purely structural
 	// baseline (UseAnnotations=false) keeps such classes as nested
-	// iterators, exactly like ExAlg.
-	// e.Roles may hold ids from the numbering in effect when findEQs last
-	// ran — assignRoles renumbers on every differentiate call, so after a
-	// changed inner round these ids are stale (and can exceed the current
-	// role count). The legacy-string sort order in assignRoles keeps this
-	// aliasing deterministic; size the bitmap for both numberings.
-	nRoles := a.roleCount()
-	for _, e := range a.EQs {
-		for _, r := range e.Roles {
-			if r >= nRoles {
-				nRoles = r + 1
-			}
-		}
-	}
+	// iterators, exactly like ExAlg. The classes carry ids of the current
+	// numbering: run re-finds them when a cut inner loop left them stale.
 	sc := a.scratch()
-	sc.frozen = resize(sc.frozen, nRoles)
+	sc.frozen = resize(sc.frozen, a.roleCount())
 	frozen := sc.frozen
 	clear(frozen)
+	nslots := 0
 	for _, e := range a.EQs {
+		nslots += e.Slots()
 		freeze := true
 		if a.params.UseAnnotations && e.Parent != nil {
 			if constant, c := Multiplicity(e.Parent, e); constant && c >= 2 {
@@ -677,148 +582,33 @@ func (a *Analysis) differentiate(conflicting bool, generation int) bool {
 		}
 	}
 
-	// Ordinal bounds: for each free (role, class, slot), the minimal
-	// occurrence count over the tuples that contain the role at all.
-	minPerSlot := a.slotMinima(scopes, frozen)
+	ords := a.slotOrdinals(stats, scopes, frozen, nslots)
 
 	// Annotation labels per occurrence. Annotations apply to frozen roles
 	// too: a frozen iterator class whose token occurrences carry distinct
 	// types (the classless record <div>s) must still be differentiated —
 	// freezing only shields roles from positional re-splitting.
-	labels := a.annotationSyms(conflicting)
+	labels := a.annotationSyms(stats, conflicting)
 
-	// Recompute keys: frozen roles keep their previous key modulo the
-	// annotation label; free occurrences get base + scope/ordinal +
-	// annotation label, tagged with the generation so stale keys from
-	// earlier class ids cannot collide. Every key carries the
+	// Recompute keys: frozen roles split by annotation label alone; free
+	// occurrences by slot, ordinal and label. Every key carries the
 	// occurrence's current role (prev), so the step refines the
 	// partition: a split made in one round stays made, and the fixpoint
-	// loop terminates (DESIGN §16). Each worker gets its own ordinal
-	// counters — they are page-scoped (ordScope carries the page), so
-	// page-aligned chunks count exactly like one sequential pass, and
-	// clearing them at each page boundary changes no count.
-	gen := int32(generation)
-	sc.ordinals = growMaps(sc.ordinals, a.workers(len(a.Pages)))
-	return a.assignRolesBy(func(worker int) func(*Occurrence) roleKey {
-		ordinalSeen := sc.ordinals[worker]
-		page := -1
-		return func(o *Occurrence) roleKey {
-			if o.Page != page {
-				clear(ordinalSeen)
-				page = o.Page
-			}
-			var ann symtab.Sym
-			if labels != nil {
-				ann = labels[a.pageOff[o.Page]+o.Pos]
-			}
-			role := a.role(o)
-			if frozen[role] {
-				k := a.roleKeys[role]
-				k.ann = ann
-				k.prev = int32(role)
-				return k
-			}
-			in := scopes[o.Page][o.Pos]
-			k := baseKey(o)
-			k.prev = int32(role)
-			if in.eq >= 0 {
-				m := minPerSlot[rsKey{role, in.eq, in.slot}]
-				os := ordScope{o.Page, in.eq, in.tuple, in.slot, role}
-				ordinalSeen[os]++
-				ord := ordinalSeen[os]
-				if ord > m {
-					ord = m + 1 // overflow bucket beyond the minimal count
-				}
-				k.gen = gen
-				k.eq = int32(in.eq)
-				k.slot = int32(in.slot)
-				k.ord = int32(ord)
-			}
-			k.ann = ann
-			return k
+	// loop terminates (DESIGN §16).
+	roles := a.roles
+	return a.assignRolesBy(func(gi int) roleKey {
+		r := roles[gi]
+		k := roleKey{slot: -1, prev: r}
+		if labels != nil {
+			k.ann = labels[gi]
 		}
+		if !frozen[r] {
+			if in := scopes[gi]; in.slot >= 0 {
+				k.slot, k.ord = in.slot, ords[gi]
+			}
+		}
+		return k
 	})
-}
-
-// rsKey identifies a free role within one slot of one class, for the
-// ordinal bounds of positional differentiation.
-type rsKey struct {
-	role, eq, slot int
-}
-
-// ordScope scopes an ordinal counter to one role inside one tuple slot
-// on one page.
-type ordScope struct {
-	page, eq, tuple, slot, role int
-}
-
-// slotMinima computes, for each free (role, class, slot), the minimal
-// occurrence count over the (page, tuple) pairs containing the role.
-// Tuples never span pages, so per-chunk partial minima merge by min —
-// commutative, hence worker-count independent. The result is the run's
-// scratch map, valid until the next call.
-func (a *Analysis) slotMinima(scopes [][]scope, frozen []bool) map[rsKey]int {
-	np := len(a.Pages)
-	sc := a.scratch()
-	sc.aggs = growMaps(sc.aggs, a.workers(np))
-	parallel.MapWorkersCtx(nil, a.params.Workers, np,
-		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
-			aggs := sc.aggs[w]
-			clear(aggs)
-			for pi := c.Lo; pi < c.Hi; pi++ {
-				roles := a.roles[a.pageOff[pi]:a.pageOff[pi+1]]
-				for i := range a.Pages[pi] {
-					in := scopes[pi][i]
-					role := int(roles[i])
-					if in.eq < 0 || frozen[role] {
-						continue
-					}
-					k := rsKey{role, in.eq, in.slot}
-					ag, ok := aggs[k]
-					if !ok {
-						aggs[k] = slotAgg{page: int32(pi), tuple: int32(in.tuple), count: 1, min: -1}
-						continue
-					}
-					if ag.page == int32(pi) && ag.tuple == int32(in.tuple) {
-						ag.count++
-					} else {
-						if ag.min < 0 || ag.count < ag.min {
-							ag.min = ag.count
-						}
-						ag.page, ag.tuple, ag.count = int32(pi), int32(in.tuple), 1
-					}
-					aggs[k] = ag
-				}
-			}
-			return struct{}{}, nil
-		})
-	if sc.minima == nil {
-		sc.minima = make(map[rsKey]int)
-	}
-	out := sc.minima
-	clear(out)
-	for _, aggs := range sc.aggs[:a.workers(np)] {
-		for k, ag := range aggs {
-			m := int(ag.count) // the open run is a run like any other
-			if ag.min >= 0 && int(ag.min) < m {
-				m = int(ag.min)
-			}
-			if cur, ok := out[k]; !ok || m < cur {
-				out[k] = m
-			}
-		}
-	}
-	return out
-}
-
-// slotAgg is slotMinima's run-length aggregate for one (role, class,
-// slot) key. A key's occurrences of one class repetition are contiguous
-// in page position order (tuples of a class never interleave), so the
-// per-(page, tuple) counts reduce by run-length without a nested map.
-type slotAgg struct {
-	page, tuple int32 // identity of the current run
-	count       int32 // occurrences in the current run
-	min         int32 // min over finalized runs; -1 until one finishes
 }
 
 // annotationSyms decides, per occurrence, the annotation label used for
@@ -839,11 +629,12 @@ type slotAgg struct {
 // are counted as conflicts (the wrapper's quality estimate).
 //
 // Decisions are independent per role, so the pass fans out across role
-// chunks: every occurrence has exactly one role, hence exactly one
-// writer for its label slot, and per-worker conflict counts merge by sum
+// chunks of stats (the per-role aggregation of the current numbering):
+// every occurrence has exactly one role, hence exactly one writer for
+// its label slot, and per-worker conflict counts merge by sum
 // (commutative). Type names were pre-interned by NewBase, so the
 // concurrent Intern calls all take the table's read path.
-func (a *Analysis) annotationSyms(conflicting bool) []symtab.Sym {
+func (a *Analysis) annotationSyms(stats []roleStat, conflicting bool) []symtab.Sym {
 	if !a.params.UseAnnotations {
 		return nil
 	}
@@ -851,12 +642,6 @@ func (a *Analysis) annotationSyms(conflicting bool) []symtab.Sym {
 		// Conflicts reflect the current role assignment; recount on each
 		// conflicting pass rather than accumulating across passes.
 		a.Conflicts = 0
-	}
-	// Group occurrences by role, reusing the aggregation of the findEQs
-	// (or shard) round this differentiate call follows when still valid.
-	stats := a.stats
-	if stats == nil {
-		stats = a.computeRoleStats()
 	}
 	sc := a.scratch()
 	sc.labels = resize(sc.labels, a.total())

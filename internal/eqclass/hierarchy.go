@@ -349,17 +349,20 @@ func (a *Analysis) SlotProfilesOf(e *EQ) []SlotProfile {
 }
 
 // computeSlotProfiles paints innermost scopes with the hierarchy's
-// classes and aggregates the data tokens of each slot.
+// classes, keeping the painting for the differentiate call that follows,
+// and aggregates the data tokens of each slot.
 func computeSlotProfiles(a *Analysis) {
 	a.profiles = make(map[int][]SlotProfile, len(a.EQs))
 	nslots := 0
 	for _, e := range a.EQs {
 		nslots += e.Slots()
 	}
+	// One arena in hierarchy slot order: a scope's slot indexes it.
 	arena := make([]SlotProfile, nslots)
+	rest := arena
 	for _, e := range a.EQs {
-		ps := arena[:e.Slots():e.Slots()]
-		arena = arena[e.Slots():]
+		ps := rest[:e.Slots():e.Slots()]
+		rest = rest[e.Slots():]
 		a.profiles[e.ID] = ps
 		for _, c := range e.Children {
 			if c.ParentSlot >= 0 && c.ParentSlot < len(ps) {
@@ -367,16 +370,9 @@ func computeSlotProfiles(a *Analysis) {
 			}
 		}
 	}
-	// Separator roles of the hierarchy. Class role ids may predate the
-	// last renumbering, so the bitmap covers both numberings.
-	n := a.roleCount()
-	for _, e := range a.EQs {
-		for _, r := range e.Roles {
-			n = max(n, r+1)
-		}
-	}
+	// Separator roles of the hierarchy.
 	sc := a.scratch()
-	sc.sepRoles = resize(sc.sepRoles, n)
+	sc.sepRoles = resize(sc.sepRoles, a.roleCount())
 	sepRoles := sc.sepRoles
 	clear(sepRoles)
 	for _, e := range a.EQs {
@@ -385,21 +381,16 @@ func computeSlotProfiles(a *Analysis) {
 		}
 	}
 	scopes := a.computeScopes()
+	a.scopes = scopes
 	off, roles := a.layout(), a.roleIDs()
 	for pi, page := range a.Pages {
 		for i, o := range page {
-			if r := int(roles[off[pi]+i]); r < n && sepRoles[r] {
+			gi := off[pi] + i
+			in := scopes[gi]
+			if in.slot < 0 || sepRoles[roles[gi]] {
 				continue
 			}
-			in := scopes[pi][i]
-			if in.eq < 0 {
-				continue
-			}
-			profs, ok := a.profiles[in.eq]
-			if !ok || in.slot >= len(profs) {
-				continue
-			}
-			p := &profs[in.slot]
+			p := &arena[in.slot]
 			if o.Kind == KindWord {
 				p.TextCount++
 			}

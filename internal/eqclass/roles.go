@@ -1,26 +1,26 @@
 package eqclass
 
 import (
-	"bytes"
-	"cmp"
 	"context"
-	"slices"
+	"math"
 
 	"objectrunner/internal/parallel"
+	"objectrunner/internal/symtab"
 )
 
 // This file holds the data-parallel core of the staged analysis: role
-// re-keying and per-role occurrence aggregation fan out across page
-// chunks via parallel.MapWorkersCtx, with deterministic merges that keep
-// role numbering — and therefore every downstream artifact — byte-
-// identical at any worker count.
+// re-keying fans out across page chunks, ordinal counting across role
+// chunks, and per-role occurrence aggregation across page chunks again,
+// via parallel.MapWorkersCtx, with deterministic merges that keep role
+// numbering — and therefore every downstream artifact — byte-identical
+// at any worker count.
 
 // initLayout computes the flat occurrence layout: pageOff[pi] is the
 // global index of page pi's first token, pageOff[len(Pages)] the total.
 // Flat indices let the parallel passes address per-occurrence state
-// (key ids, annotation labels) in shared pre-sized buffers with no
-// cross-worker synchronization: chunks are page-aligned, so workers
-// write disjoint index ranges.
+// (key ids, annotation labels, ordinals, scopes) in shared pre-sized
+// buffers with no cross-worker synchronization: chunks are page- or
+// role-aligned, so workers write disjoint index sets.
 func (a *Analysis) initLayout() {
 	off := make([]int, len(a.Pages)+1)
 	n := 0
@@ -32,202 +32,279 @@ func (a *Analysis) initLayout() {
 	a.pageOff = off
 }
 
-// assignRolesBy recomputes role ids from per-occurrence keys. mk returns
-// the key function of one worker: key functions may be stateful
-// (ordinal counters), and their state is scoped to single pages
-// (ordScope includes the page), so page-aligned chunks see exactly the
-// counts a sequential pass would.
+// renumber, when set, is called on every new assignment of n roles and
+// may return a permutation of its numbering (perm[id] is the id to use
+// instead); nil keeps the first-seen ids. A refinement step calls it
+// before writing the new ids, while the analysis still holds the roles
+// and classes the step read. Tests set it to show that no output
+// depends on role ids, and that the classes a step freezes roles
+// through carry ids of the current numbering.
+var renumber func(a *Analysis, roles int) []int32
+
+// assignBaseRoles is criterion i: it numbers the HTML-feature keys
+// (kind, value, path) of the occurrences in first-seen page order. Every
+// occurrence starts in role 0 here, so the keys cannot be chained by
+// role the way assignRolesBy chains them; the pass runs once per Base,
+// on the run's scratch map.
+func (a *Analysis) assignBaseRoles() {
+	roles := a.roleIDs()
+	sc := a.scratch()
+	if sc.baseIDs == nil {
+		sc.baseIDs = make(map[baseKey]int32)
+	}
+	ids := sc.baseIDs
+	clear(ids)
+	gi := 0
+	for _, page := range a.Pages {
+		for _, o := range page {
+			k := baseKey{o.Kind, o.Val, o.Pth}
+			id, ok := ids[k]
+			if !ok {
+				id = int32(len(ids))
+				ids[k] = id
+			}
+			roles[gi] = id
+			gi++
+		}
+	}
+	if perm := a.permutation(len(ids)); perm != nil {
+		for gi, r := range roles {
+			roles[gi] = perm[r]
+		}
+	}
+	a.nRoles = len(ids)
+}
+
+// baseKey is the HTML-feature role key of criterion i.
+type baseKey struct {
+	kind     TokKind
+	val, pth symtab.Sym
+}
+
+// roleKey is the role-differentiation key of criteria (ii)–(iv). prev is
+// the occurrence's role before the step: two occurrences of different
+// roles never share a key, so a step can split roles but never merge
+// them (DESIGN §16). Within one role, slot is the hierarchy slot
+// containing the occurrence (-1 outside every slot, and for frozen
+// roles) and ord its ordinal there; ann is the interned annotation label
+// of criteria (iii)/(iv), symtab.None when absent. The role already
+// fixes kind, value and path, so the key leaves them out.
+type roleKey struct {
+	slot, ord int32
+	ann       symtab.Sym
+	prev      int32
+}
+
+// keyList numbers distinct role keys in first-seen order. Every key
+// refines its occurrence's current role, so a key is found through that
+// role: head[prev] is the newest key of the role, next links each key
+// to the one before it — an array walk over the few keys one role
+// splits into, with no hashing.
+type keyList struct {
+	keys []roleKey
+	next []int32
+	head []int32
+}
+
+// reset empties the list for keys refining roles [0, roles).
+func (l *keyList) reset(roles int) {
+	l.keys, l.next = l.keys[:0], l.next[:0]
+	l.head = resize(l.head, roles)
+	for i := range l.head {
+		l.head[i] = -1
+	}
+}
+
+// id returns k's number, appending k when it is new.
+func (l *keyList) id(k roleKey) int32 {
+	for id := l.head[k.prev]; id >= 0; id = l.next[id] {
+		if l.keys[id] == k {
+			return id
+		}
+	}
+	id := int32(len(l.keys))
+	l.keys = append(l.keys, k)
+	l.next = append(l.next, l.head[k.prev])
+	l.head[k.prev] = id
+	return id
+}
+
+// assignRolesBy refines the role partition by the key of every
+// occurrence (key is called with the flat index) and reports whether it
+// changed. Each worker numbers the distinct keys of its page chunk in
+// first-seen order; the worker lists are merged left to right into one
+// list — which sees only distinct keys — and that is the sequential
+// first-seen order, whatever the chunking. No sort is needed for the
+// numbering to be worker-count independent.
 //
-// Determinism across worker counts: each worker numbers the distinct
-// keys of its chunk in first-seen order; the worker lists are merged
-// left-to-right into one global list, whose order depends on chunk
-// boundaries — but the *set* of distinct keys does not, and the final
-// numbering is assigned by sorting that set on the legacy string form
-// (with a full field-wise tie-break for distinct keys composing the same
-// string, see keyCompare). The sorted numbering is therefore a pure
-// function of the key set, independent of chunking.
-//
-// Like its sequential predecessor, it reports whether the induced
-// partition of occurrences changed — ids may be relabelled freely (keys
-// carry generation tags), so change is detected as a broken old↔new
-// bijection, which is order-independent. Every working buffer, the new
-// role-key list included, comes from the run's scratch.
-func (a *Analysis) assignRolesBy(mk func(worker int) func(*Occurrence) roleKey) bool {
+// Every key carries the occurrence's current role, so the new partition
+// refines the old one: it changed exactly when it has more roles. Role
+// ids are first-seen ids, so an unchanged partition keeps every id, and
+// the per-role aggregation and the classes of the round stay valid;
+// after a change they are stale (a.stats is dropped). Every working
+// buffer comes from the run's scratch.
+func (a *Analysis) assignRolesBy(key func(gi int) roleKey) bool {
 	np := len(a.Pages)
 	off := a.layout()
-	roles := a.roleIDs() // before the fan-out: key functions read roles
+	roles := a.roleIDs()
+	old := a.roleCount()
 	sc := a.scratch()
 	sc.perOcc = resize(sc.perOcc, off[np])
 	perOcc := sc.perOcc
 	nw := a.workers(np)
-	sc.seen = growMaps(sc.seen, nw)
-	sc.localKeys = growRows(sc.localKeys, nw)
+	sc.local = grow(sc.local, nw)
 	parallel.MapWorkersCtx(nil, a.params.Workers, np,
 		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
-			key := mk(w)
-			seen := sc.seen[w]
-			clear(seen)
-			keys := sc.localKeys[w][:0]
-			for pi := c.Lo; pi < c.Hi; pi++ {
-				gi := off[pi]
-				for _, o := range a.Pages[pi] {
-					k := key(o)
-					id, ok := seen[k]
-					if !ok {
-						id = int32(len(keys))
-						seen[k] = id
-						keys = append(keys, k)
-					}
-					perOcc[gi] = id
-					gi++
-				}
+			l := &sc.local[w]
+			l.reset(old)
+			for gi := off[c.Lo]; gi < off[c.Hi]; gi++ {
+				perOcc[gi] = l.id(key(gi))
 			}
-			sc.localKeys[w] = keys
 			return struct{}{}, nil
 		})
 
-	// Merge the worker-local key lists into a global first-seen list,
+	// Merge the worker-local lists into the global first-seen list,
 	// remembering each local id's global id.
-	if sc.idOf == nil {
-		sc.idOf = make(map[roleKey]int32)
+	merged := &sc.merged
+	merged.reset(old)
+	sc.remap = grow(sc.remap, nw)
+	for w := range nw {
+		keys := sc.local[w].keys
+		rm := resize(sc.remap[w], len(keys))
+		for li, k := range keys {
+			rm[li] = merged.id(k)
+		}
+		sc.remap[w] = rm
 	}
-	idOf := sc.idOf
-	clear(idOf)
-	keys := sc.keys[:0]
-	sc.remap = growRows(sc.remap, nw)
-	remap := sc.remap[:nw]
-	for w, lk := range sc.localKeys[:nw] {
-		rm := resize(remap[w], len(lk))
-		for li, k := range lk {
-			gid, ok := idOf[k]
-			if !ok {
-				gid = int32(len(keys))
-				idOf[k] = gid
-				keys = append(keys, k)
+	n := len(merged.keys)
+	changed := n != old
+	perm := a.permutation(n)
+	if perm != nil {
+		for _, rm := range sc.remap[:nw] {
+			for li, id := range rm {
+				rm[li] = perm[id]
 			}
-			rm[li] = gid
-		}
-		remap[w] = rm
-	}
-	sc.keys = keys
-
-	// Final numbering: sort the distinct keys on their legacy string form
-	// (see appendLegacy — the order is observable through frozen stale
-	// role ids) and compose each worker remap with the sort ranks. The
-	// legacy forms sit back to back in one byte arena.
-	legacy := sc.legacy[:0]
-	lo := resize(sc.legacyOff, len(keys)+1)
-	for i, k := range keys {
-		lo[i] = len(legacy)
-		legacy = a.appendLegacy(legacy, k)
-	}
-	lo[len(keys)] = len(legacy)
-	sc.legacy, sc.legacyOff = legacy, lo
-	perm := resize(sc.perm, len(keys))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(x, y int32) int {
-		if c := bytes.Compare(legacy[lo[x]:lo[x+1]], legacy[lo[y]:lo[y+1]]); c != 0 {
-			return c
-		}
-		return keyCompare(keys[x], keys[y])
-	})
-	sc.perm = perm
-	rank := resize(sc.rank, len(keys))
-	sc.rank = rank
-	sc.flip ^= 1
-	sorted := resize(sc.keyBufs[sc.flip], len(keys))
-	sc.keyBufs[sc.flip] = sorted
-	for newID, old := range perm {
-		rank[old] = int32(newID)
-		sorted[newID] = keys[old]
-	}
-	for _, rm := range remap {
-		for li := range rm {
-			rm[li] = rank[rm[li]]
 		}
 	}
-
-	// Commit pass: rewrite roles in page order, tracking the old↔new
-	// bijection. The boolean outcome is a property of the two partitions,
-	// not of visit order. The initial assignment starts from every
-	// occurrence in role 0.
-	oldRoles := max(len(a.roleKeys), 1)
-	sc.oldToNew = resize(sc.oldToNew, oldRoles)
-	sc.newToOld = resize(sc.newToOld, len(sorted))
-	oldToNew, newToOld := sc.oldToNew, sc.newToOld
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	for i := range newToOld {
-		newToOld[i] = -1
-	}
-	changed := false
-	chunks := parallel.Chunks(a.params.Workers, np)
-	w := 0
-	for pi, page := range a.Pages {
-		for w < len(chunks)-1 && pi >= chunks[w].Hi {
-			w++
-		}
-		rm := remap[w]
-		for gi := off[pi]; gi < off[pi]+len(page); gi++ {
-			r, prev := int(rm[perOcc[gi]]), int(roles[gi])
-			if n := oldToNew[prev]; n >= 0 {
-				if n != r {
-					changed = true
-				}
-			} else {
-				oldToNew[prev] = r
+	parallel.MapWorkersCtx(nil, a.params.Workers, np,
+		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+			rm := sc.remap[w]
+			for gi := off[c.Lo]; gi < off[c.Hi]; gi++ {
+				roles[gi] = rm[perOcc[gi]]
 			}
-			if old := newToOld[r]; old >= 0 {
-				if old != prev {
-					changed = true
-				}
-			} else {
-				newToOld[r] = prev
-			}
-			roles[gi] = int32(r)
-		}
+			return struct{}{}, nil
+		})
+	if changed || perm != nil {
+		a.stats = nil
 	}
-	a.roleKeys = sorted
-	// Any renumbering (even an unchanged partition gets fresh ids from
-	// the legacy sort) invalidates role-indexed caches.
-	a.stats = nil
+	a.nRoles = n
 	return changed
 }
 
-// keyCompare is the deterministic field-wise tie-break for role keys
-// whose legacy strings collide: keys that differ only in prev, which the
-// legacy form leaves out, and the pathological case of a path or label
-// that itself contains the separator sequences. It keeps the sort total
-// so the numbering cannot depend on chunk boundaries.
-func keyCompare(x, y roleKey) int {
-	if c := cmp.Compare(x.kind, y.kind); c != 0 {
-		return c
+// permutation calls the renumber hook, if one is set, on an assignment
+// of n roles about to be committed.
+func (a *Analysis) permutation(n int) []int32 {
+	if renumber == nil {
+		return nil
 	}
-	if c := cmp.Compare(x.val, y.val); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.pth, y.pth); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.gen, y.gen); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.eq, y.eq); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.slot, y.slot); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.ord, y.ord); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.ann, y.ann); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.prev, y.prev)
+	return renumber(a, n)
+}
+
+// slotOrdinals writes, for every occurrence of a free role inside a
+// hierarchy slot, its ordinal among the role's occurrences in that slot
+// of that tuple, capped one above the role's minimal count over the
+// slot's tuples: positional differentiation settles on the minimal
+// number of consecutive occurrences (paper §III.C) and buckets the
+// overflow. The result is a flat per-occurrence buffer in the run's
+// scratch; only the entries of free, slotted occurrences are written.
+//
+// It walks each free role's page-ordered occurrence list (from the
+// round's findEQs or shard) twice: the first walk takes the run-length
+// minimum per slot — a role's occurrences in one slot of one tuple are
+// consecutive among its occurrences in that slot, since tuples of a
+// class never interleave — and the second numbers the occurrences. The
+// per-slot run state is an array indexed by hierarchy slot, reset
+// through the slots the role touched. The walks fan out over role
+// chunks: every occurrence has exactly one role, hence one writer.
+func (a *Analysis) slotOrdinals(stats []roleStat, scopes []scope, frozen []bool, nslots int) []int32 {
+	off := a.pageOff
+	sc := a.scratch()
+	sc.ords = resize(sc.ords, off[len(a.Pages)])
+	ords := sc.ords
+	n := len(stats)
+	nw := a.workers(n)
+	sc.runs = grow(sc.runs, nw)
+	sc.touched = grow(sc.touched, nw)
+	parallel.MapWorkersCtx(nil, a.params.Workers, n,
+		func(_ context.Context, w int, c parallel.Chunk) (struct{}, error) {
+			runs := resize(sc.runs[w], nslots)
+			sc.runs[w] = runs
+			for i := range runs {
+				runs[i] = slotRun{page: -1}
+			}
+			touched := sc.touched[w]
+			for r := c.Lo; r < c.Hi; r++ {
+				if frozen[r] {
+					continue
+				}
+				occs := stats[r].occs
+				touched = touched[:0]
+				for _, o := range occs {
+					in := scopes[off[o.Page]+o.Pos]
+					if in.slot < 0 {
+						continue
+					}
+					s := &runs[in.slot]
+					switch {
+					case s.min == 0: // the role's first occurrence in this slot
+						touched = append(touched, in.slot)
+						*s = slotRun{page: int32(o.Page), tuple: in.tuple, count: 1, min: math.MaxInt32}
+					case s.page == int32(o.Page) && s.tuple == in.tuple:
+						s.count++
+					default:
+						s.min = min(s.min, s.count)
+						s.page, s.tuple, s.count = int32(o.Page), in.tuple, 1
+					}
+				}
+				if len(touched) == 0 {
+					continue
+				}
+				for _, g := range touched {
+					s := &runs[g]
+					s.min = min(s.min, s.count) // the open run is a run like any other
+					s.page = -1
+				}
+				for _, o := range occs {
+					gi := off[o.Page] + o.Pos
+					in := scopes[gi]
+					if in.slot < 0 {
+						continue
+					}
+					s := &runs[in.slot]
+					if s.page == int32(o.Page) && s.tuple == in.tuple {
+						s.count++
+					} else {
+						s.page, s.tuple, s.count = int32(o.Page), in.tuple, 1
+					}
+					ords[gi] = min(s.count, s.min+1)
+				}
+				for _, g := range touched {
+					runs[g] = slotRun{page: -1}
+				}
+			}
+			sc.touched[w] = touched
+			return struct{}{}, nil
+		})
+	return ords
+}
+
+// slotRun is slotOrdinals' state for one hierarchy slot while it walks
+// one role: the current run's identity (page, tuple) and length, and the
+// minimal length of the role's runs in the slot. min is 0 until the role
+// first occurs in the slot.
+type slotRun struct {
+	page, tuple int32
+	count, min  int32
 }
 
 // computeRoleStats aggregates per-role occurrence vectors, page
@@ -252,8 +329,8 @@ func (a *Analysis) computeRoleStats() []roleStat {
 	roles := a.roleIDs()
 	off := a.pageOff
 	nw := a.workers(np)
-	sc.notCand = growRows(sc.notCand, nw)
-	sc.cursors = growRows(sc.cursors, nw)
+	sc.notCand = grow(sc.notCand, nw)
+	sc.cursors = grow(sc.cursors, nw)
 	// Pass 1: occurrence vectors, plus per-worker non-candidate marks
 	// (merged by OR — commutative, so merge order is irrelevant).
 	parallel.MapWorkersCtx(nil, a.params.Workers, np,

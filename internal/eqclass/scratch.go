@@ -12,46 +12,35 @@ import (
 // these maps and buffers for every run would be most of what a converged
 // analysis allocates. A scratch belongs to one Analysis at a time, never
 // to the shared Base (Base serves concurrent runs). Nothing in it
-// outlives the pass that fills it: classes copy what they keep
-// (validateEQ), and what an analysis or a Base keeps — the final role
-// keys, the snapshot statistics — is detached from the scratch first.
+// outlives the pass or the round that fills it: what an analysis or a
+// Base keeps — its classes, the snapshot statistics — is allocated
+// apart from the scratch.
 type scratch struct {
-	// computeScopes: one flat row buffer indexed through pageOff, its
-	// per-page row headers, and the per-page gap lists.
-	scopeBuf  []scope
-	scopeRows [][]scope
-	gaps      [][]gap
+	// computeScopes: the hierarchy's innermost slot per occurrence, flat
+	// in the pageOff layout.
+	scopeBuf []scope
 
-	// differentiate / slotMinima: the frozen-role bitmap, per-worker
-	// ordinal counters and run-length aggregates, and the merged minima.
-	frozen   []bool
-	ordinals []map[ordScope]int
-	aggs     []map[rsKey]slotAgg
-	minima   map[rsKey]int
+	// differentiate / slotOrdinals: the frozen-role bitmap, per-occurrence
+	// ordinals, and per-worker slot run states with the slots one role
+	// touched.
+	frozen  []bool
+	ords    []int32
+	runs    [][]slotRun
+	touched [][]int32
 
 	// annotationSyms: flat per-occurrence label buffer.
 	labels []symtab.Sym
 
+	// assignBaseRoles: the criterion-i key numbering.
+	baseIDs map[baseKey]int32
+
 	// assignRolesBy: per-occurrence worker-local key ids, per-worker
-	// first-seen key sets, the merged key set, the legacy sort-key arena,
-	// and the old/new partition bijection.
-	perOcc    []int32
-	seen      []map[roleKey]int32
-	localKeys [][]roleKey
-	idOf      map[roleKey]int32
-	keys      []roleKey
-	// keyBufs holds the sorted role keys of the last two assignments:
-	// keyBufs[flip] is the analysis's current roleKeys, which frozen
-	// roles read while the next assignment fills keyBufs[flip^1].
-	keyBufs   [2][]roleKey
-	flip      int
-	remap     [][]int32
-	legacy    []byte
-	legacyOff []int
-	perm      []int32
-	rank      []int32
-	oldToNew  []int
-	newToOld  []int
+	// first-seen key lists, the merged list, and each worker's local to
+	// global id map.
+	perOcc []int32
+	local  []keyList
+	merged keyList
+	remap  [][]int32
 
 	// computeRoleStats: the stats rows, their vector and occurrence
 	// backing arrays, per-role counts and arena offsets, and per-worker
@@ -64,16 +53,11 @@ type scratch struct {
 	notCand  [][]bool
 	cursors  [][]int
 
-	// groupRoles / salvageEQs: candidate roles, their vector forms back
-	// to back, the sorted candidate order, the groups' members and
-	// headers, and the tag subset of a group under salvage.
-	cands   []int
-	forms   []byte
-	formOff []int
-	order   []int
-	members []int
-	groups  [][]int
-	tags    []int
+	// groupRoles / salvageEQs: candidate roles in group order, the
+	// groups' headers, and the tag subset of a group under salvage.
+	cands  []int
+	groups [][]int
+	tags   []int
 
 	// BuildHierarchy / computeSlotProfiles: the classes ordered by
 	// coverage, and the hierarchy's separator roles.
@@ -81,10 +65,44 @@ type scratch struct {
 	sepRoles []bool
 
 	// validateEQ: the candidate's occurrences on one page, its first
-	// tuple (σ), and every tuple's positions back to back.
-	occs  []*Occurrence
-	sigma []*Occurrence
-	pos   []int
+	// tuple (σ), and every tuple's positions back to back; the classes of
+	// the fixpoint's rounds (see classArena).
+	occs    []*Occurrence
+	sigma   []*Occurrence
+	pos     []int
+	classes classArena
+}
+
+// classArena backs the classes a find-EQs round of the fixpoint
+// validates. They live until the next round replaces them, so the
+// arena is reset per round and reuses its buffers; only the classes an
+// analysis keeps (the final round's, and the base's prototypes) are
+// allocated on their own. A buffer that runs out is replaced by one
+// twice as large, and the classes carved from the old one keep it.
+type classArena struct {
+	eqs    []EQ
+	ints   []int
+	tuples []Tuple
+	rows   [][]Tuple
+	descs  []Desc
+}
+
+// reset starts a round: every buffer is empty again.
+func (ar *classArena) reset() {
+	ar.eqs, ar.ints, ar.tuples = ar.eqs[:0], ar.ints[:0], ar.tuples[:0]
+	ar.rows, ar.descs = ar.rows[:0], ar.descs[:0]
+}
+
+// carve returns n elements from the end of *buf, growing it into a new
+// buffer when it lacks the room. The contents are unspecified; callers
+// overwrite or clear. Carving from an empty buffer allocates exactly n.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(2*cap(b), n))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 // spareScratch holds released scratches for the next analysis runs,
@@ -110,24 +128,24 @@ func (a *Analysis) scratch() *scratch {
 	return a.sc
 }
 
-// releaseScratch hands the analysis's scratch back to spareScratch. The
-// current role keys stay with the analysis (their buffer leaves the
-// scratch), and so do the statistics that view into it (a.stats is
-// dropped). Every slot that points outside the scratch — occurrences,
-// classes — is cleared, so a spare scratch pins no page or DOM tree;
-// the pointer-free buffers and the maps keep their capacity.
+// releaseScratch hands the analysis's scratch back to spareScratch; the
+// statistics and the painting that view into it are dropped from the
+// analysis. Every slot that points outside the scratch — occurrences,
+// classes, descriptors — is cleared, so a spare scratch pins no page or
+// DOM tree; the pointer-free buffers and the map keep their capacity.
 func (a *Analysis) releaseScratch() {
 	sc := a.sc
 	if sc == nil {
 		return
 	}
-	a.sc, a.stats = nil, nil
-	sc.keyBufs[sc.flip] = nil
+	a.sc, a.stats, a.scopes = nil, nil, nil
 	clear(sc.stats[:cap(sc.stats)])
 	clear(sc.occArena[:cap(sc.occArena)])
 	clear(sc.occs[:cap(sc.occs)])
 	clear(sc.sigma[:cap(sc.sigma)])
 	clear(sc.byCov[:cap(sc.byCov)])
+	clear(sc.classes.eqs[:cap(sc.classes.eqs)])
+	clear(sc.classes.descs[:cap(sc.classes.descs)])
 	select {
 	case spareScratch <- sc:
 	default: // enough spares already; let this one go
@@ -168,18 +186,11 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// growMaps returns ms with at least n non-nil maps.
-func growMaps[K comparable, V any](ms []map[K]V, n int) []map[K]V {
-	for len(ms) < n {
-		ms = append(ms, make(map[K]V))
+// grow returns s with at least n entries, keeping the ones it has.
+func grow[T any](s []T, n int) []T {
+	for len(s) < n {
+		var zero T
+		s = append(s, zero)
 	}
-	return ms
-}
-
-// growRows returns rows with at least n entries.
-func growRows[T any](rows [][]T, n int) [][]T {
-	for len(rows) < n {
-		rows = append(rows, nil)
-	}
-	return rows
+	return s
 }

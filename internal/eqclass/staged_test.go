@@ -169,7 +169,7 @@ func baseAnalysis(t *testing.T, pages [][]*Occurrence) (*Analysis, []roleStat) {
 	a := &Analysis{Pages: pages, params: DefaultParams().normalized(), tab: symtab.New()}
 	InternPages(a.tab, pages)
 	a.initLayout()
-	a.assignRolesBy(func(int) func(*Occurrence) roleKey { return baseKey })
+	a.assignBaseRoles()
 	return a, a.computeRoleStats()
 }
 
@@ -197,7 +197,7 @@ func TestSalvageTagsOnlyClass(t *testing.T) {
 	if len(group) < 8 {
 		t.Fatalf("expected one group holding tags and swapped words, got %d roles", len(group))
 	}
-	eqs, invalid := a.salvageEQs(nil, group, stats)
+	eqs, invalid := a.salvageEQs(nil, group, stats, nil)
 	if !invalid {
 		t.Error("swapped word order should invalidate the full group")
 	}
@@ -222,7 +222,7 @@ func TestSalvagePathPartition(t *testing.T) {
 	}
 	a, stats := baseAnalysis(t, tokenizeAll(t, srcs, nil))
 	group := largestGroup(a.groupRoles(stats, 3))
-	eqs, invalid := a.salvageEQs(nil, group, stats)
+	eqs, invalid := a.salvageEQs(nil, group, stats, nil)
 	if !invalid {
 		t.Error("reordered blocks should invalidate the full group")
 	}
@@ -262,14 +262,15 @@ func TestSalvageUnrecoverableGroup(t *testing.T) {
 	if len(groups) != 1 || len(groups[0]) != 2 {
 		t.Fatalf("expected one two-role group, got %v", groups)
 	}
-	eqs, invalid := a.salvageEQs(nil, groups[0], stats)
+	eqs, invalid := a.salvageEQs(nil, groups[0], stats, nil)
 	if !invalid || len(eqs) != 0 {
 		t.Errorf("word-only invalid group: eqs=%v invalid=%v, want none/true", eqs, invalid)
 	}
 }
 
 // mkEQ hand-builds a k-role class for hierarchy tests, one tuple list
-// per page.
+// per page. Its role ids are id*100+i, so an analysis holding such
+// classes counts mkRoles roles.
 func mkEQ(id, k int, tuples [][]Tuple) *EQ {
 	vector := make([]int, len(tuples))
 	for pi, tups := range tuples {
@@ -281,6 +282,8 @@ func mkEQ(id, k int, tuples [][]Tuple) *EQ {
 	}
 	return &EQ{ID: id, Roles: roles, Descs: make([]Desc, k), Vector: vector, Tuples: tuples}
 }
+
+const mkRoles = 1000
 
 func TestBuildHierarchyStraddlingClassDiscarded(t *testing.T) {
 	page := make([]*Occurrence, 12)
@@ -297,6 +300,7 @@ func TestBuildHierarchyStraddlingClassDiscarded(t *testing.T) {
 		Pages:  [][]*Occurrence{page},
 		EQs:    []*EQ{outer, inner, straddler, single},
 		params: DefaultParams().normalized(),
+		nRoles: mkRoles,
 	}
 	BuildHierarchy(a)
 
@@ -329,6 +333,7 @@ func TestBuildHierarchySparseAndEmptyClasses(t *testing.T) {
 		Pages:  [][]*Occurrence{mkPage(8), mkPage(8)},
 		EQs:    []*EQ{outer, sparse, empty},
 		params: DefaultParams().normalized(),
+		nRoles: mkRoles,
 	}
 	BuildHierarchy(a)
 

@@ -9,6 +9,7 @@ package eqclass
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 
@@ -124,36 +125,29 @@ func (d Desc) String() string {
 	}
 }
 
-// valueWordTypes maps each normalized word of the annotations' matched
-// values to the types it witnesses.
-func valueWordTypes(anns []annotate.Ann) map[string][]string {
-	if len(anns) == 0 {
-		return nil
-	}
-	out := make(map[string][]string)
+// wordType records that a word of an annotation's matched value
+// witnesses the annotation's type.
+type wordType struct{ word, typ string }
+
+// appendWordTypes appends the (word, type) pairs of the annotations'
+// matched values to dst, each pair once, in first-seen order. A text
+// node holds a few annotations, so a list scan beats a map built per
+// node.
+func appendWordTypes(dst []wordType, anns []annotate.Ann) []wordType {
 	for _, a := range anns {
 		for _, w := range recognize.Tokenize(a.Value) {
-			if !containsStr(out[w], a.Type) {
-				out[w] = append(out[w], a.Type)
+			if p := (wordType{w, a.Type}); !slices.Contains(dst, p) {
+				dst = append(dst, p)
 			}
 		}
 	}
-	return out
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	return dst
 }
 
 // typesOfWord returns the types witnessed by every sub-token of the page
 // word ("$9.99" and "7:00p" tokenize to several sub-tokens that must all
-// belong to the matched value).
-func typesOfWord(wordTypes map[string][]string, w string) []string {
+// belong to the matched value), in the order the pairs first name them.
+func typesOfWord(wordTypes []wordType, w string) []string {
 	if len(wordTypes) == 0 {
 		return nil
 	}
@@ -161,19 +155,23 @@ func typesOfWord(wordTypes map[string][]string, w string) []string {
 	if len(toks) == 0 {
 		return nil
 	}
-	cand := wordTypes[toks[0]]
-	for _, t := range toks[1:] {
-		if len(cand) == 0 {
-			return nil
+	var cand []string
+	for _, p := range wordTypes {
+		if p.word == toks[0] {
+			cand = append(cand, p.typ)
 		}
-		next := wordTypes[t]
-		var inter []string
+	}
+	for _, t := range toks[1:] {
+		kept := cand[:0]
 		for _, c := range cand {
-			if containsStr(next, c) {
-				inter = append(inter, c)
+			if slices.Contains(wordTypes, wordType{t, c}) {
+				kept = append(kept, c)
 			}
 		}
-		cand = inter
+		cand = kept
+	}
+	if len(cand) == 0 {
+		return nil
 	}
 	return cand
 }
@@ -250,6 +248,7 @@ func tokenizeArena(root *dom.Node, pa *annotate.PageAnnotations) []Occurrence {
 	}
 	arena := make([]Occurrence, 0, countTokens(root))
 	var words []string // the current text node's words, reused
+	var wordTypes []wordType
 	var walk func(n *dom.Node, parentPath string)
 	walk = func(n *dom.Node, parentPath string) {
 		switch n.Type {
@@ -263,9 +262,9 @@ func tokenizeArena(root *dom.Node, pa *annotate.PageAnnotations) []Occurrence {
 			// the matched value — template words sharing the node with a
 			// value ("by" next to author names) stay unannotated, so they
 			// remain separator candidates.
-			var wordTypes map[string][]string
+			wordTypes = wordTypes[:0]
 			if pa != nil && parent != nil {
-				wordTypes = valueWordTypes(pa.Anns[parent])
+				wordTypes = appendWordTypes(wordTypes, pa.Anns[parent])
 			}
 			words = appendFields(words[:0], n.Data)
 			for _, w := range words {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"regexp"
 	"regexp/syntax"
-	"strings"
 	"sync"
 )
 
@@ -14,9 +13,9 @@ type RegexRecognizer struct {
 	name string
 	re   *regexp.Regexp
 	conf float64
-	// needsDigit reports that every match of re holds an ASCII digit,
-	// so Find skips text without one (see needsDigit).
-	needsDigit bool
+	// pre holds the literals every match of re contains; Find skips
+	// text it does not admit (see prefilter).
+	pre prefilter
 }
 
 // NewRegex compiles a user-defined regular-expression recognizer.
@@ -34,50 +33,12 @@ func mustRegex(name, pattern string, conf float64) *RegexRecognizer {
 }
 
 func newRegex(name string, re *regexp.Regexp, conf float64) *RegexRecognizer {
+	r := &RegexRecognizer{name: name, re: re, conf: conf}
 	// re compiled, so its source parses with the flags regexp uses.
-	tree, err := syntax.Parse(re.String(), syntax.Perl)
-	return &RegexRecognizer{name: name, re: re, conf: conf, needsDigit: err == nil && needsDigit(tree)}
-}
-
-// needsDigit reports whether every string re matches contains an ASCII
-// digit: a literal holding one, a character class inside [0-9], a
-// concatenation with such a part, an alternation of such branches, or
-// a group or repetition (at least once) of one. It may answer false for
-// a pattern that does need a digit, never true for one that does not.
-func needsDigit(re *syntax.Regexp) bool {
-	switch re.Op {
-	case syntax.OpLiteral:
-		for _, r := range re.Rune {
-			if '0' <= r && r <= '9' {
-				return true
-			}
-		}
-	case syntax.OpCharClass:
-		for i := 0; i < len(re.Rune); i += 2 {
-			if re.Rune[i] < '0' || re.Rune[i+1] > '9' {
-				return false
-			}
-		}
-		return len(re.Rune) > 0
-	case syntax.OpConcat:
-		for _, sub := range re.Sub {
-			if needsDigit(sub) {
-				return true
-			}
-		}
-	case syntax.OpAlternate:
-		for _, sub := range re.Sub {
-			if !needsDigit(sub) {
-				return false
-			}
-		}
-		return len(re.Sub) > 0
-	case syntax.OpCapture, syntax.OpPlus:
-		return needsDigit(re.Sub[0])
-	case syntax.OpRepeat:
-		return re.Min >= 1 && needsDigit(re.Sub[0])
+	if tree, err := syntax.Parse(re.String(), syntax.Perl); err == nil {
+		r.pre = newPrefilter(tree)
 	}
-	return false
+	return r
 }
 
 // Name implements Recognizer.
@@ -85,7 +46,7 @@ func (r *RegexRecognizer) Name() string { return r.name }
 
 // Find implements Recognizer.
 func (r *RegexRecognizer) Find(text string) []Match {
-	if r.needsDigit && !strings.ContainsAny(text, "0123456789") {
+	if !r.pre.admits(text) {
 		return nil
 	}
 	var out []Match

@@ -1,6 +1,7 @@
 package recognize
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -137,9 +138,22 @@ func TestRegexRecognizer(t *testing.T) {
 	}
 }
 
+// needsDigit reports whether the prefilter holds the digit rule: a
+// clause every literal of which holds an ASCII digit.
+func needsDigit(p prefilter) bool {
+	for _, ch := range p {
+		if strings.Trim(ch.bytes, "0123456789") == "" && len(ch.bytes)+len(ch.lits) > 0 &&
+			!slices.ContainsFunc(ch.lits, func(l literal) bool { return !strings.ContainsAny(l.s, "0123456789") }) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRegexNeedsDigit pins which predefined recognizers skip text
-// without a digit — the flag is derived from each pattern's syntax tree,
-// never set by hand — and the derivation on user patterns.
+// without a digit — the rule is derived from each pattern's syntax tree
+// by the prefilter analysis, never set by hand — and the derivation on
+// user patterns.
 func TestRegexNeedsDigit(t *testing.T) {
 	predefined := map[string]Recognizer{
 		"date": NewDate(), "year": NewYear(), "price": NewPrice(), "phone": NewPhone(),
@@ -150,7 +164,7 @@ func TestRegexNeedsDigit(t *testing.T) {
 		"number": true, "isbn": true, "address": false, "email": false,
 	}
 	for name, r := range predefined {
-		if got := r.(*RegexRecognizer).needsDigit; got != want[name] {
+		if got := needsDigit(r.(*RegexRecognizer).pre); got != want[name] {
 			t.Errorf("%s: needsDigit = %v, want %v", name, got, want[name])
 		}
 	}
@@ -174,8 +188,8 @@ func TestRegexNeedsDigit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.needsDigit != want {
-			t.Errorf("%s: needsDigit = %v, want %v", pattern, r.needsDigit, want)
+		if got := needsDigit(r.pre); got != want {
+			t.Errorf("%s: needsDigit = %v, want %v", pattern, got, want)
 		}
 	}
 	// The skip changes no answer: a flagged pattern finds nothing in
@@ -189,6 +203,40 @@ func TestRegexNeedsDigit(t *testing.T) {
 	}
 	if ms := r.Find("ABC-1234"); len(ms) != 1 {
 		t.Errorf("matches = %+v, want one", ms)
+	}
+}
+
+// The date pattern's prefilter requires a month name, '-' or '/' next to
+// the digit rule, and admits no text without one. (The parser factors
+// Jun|Jul into Ju(?:n|l), so the clause names "ju".)
+func TestDatePrefilterMonths(t *testing.T) {
+	pre := NewDate().(*RegexRecognizer).pre
+	var months *check
+	for i, ch := range pre {
+		if slices.Contains(ch.lits, literal{s: "sep", fold: true}) {
+			months = &pre[i]
+		}
+	}
+	if months == nil {
+		t.Fatalf("no month clause in %+v", pre)
+	}
+	var names []string
+	for _, l := range months.lits {
+		names = append(names, l.s)
+	}
+	if got, want := strings.Join(names, "|")+" "+months.bytes, "jan|feb|mar|apr|may|ju|aug|sep|oct|nov|dec -/"; got != want {
+		t.Errorf("month clause = %q, want %q", got, want)
+	}
+	for text, admitted := range map[string]bool{
+		"8:00pm 2010":   false,
+		"MAY 29 7:00p":  true,
+		"ſeptember 1 2": true, // (?i) folds s to ſ
+		"2010-05-29":    true,
+		"05/29/2010":    true,
+	} {
+		if got := pre.admits(text); got != admitted {
+			t.Errorf("admits(%q) = %v, want %v", text, got, admitted)
+		}
 	}
 }
 
